@@ -23,10 +23,13 @@ excluded from the key: every backend reaches the identical least
 fixpoint (the backends CI matrix gates this byte-for-byte), so a result
 solved under one backend is the correct answer under all of them.
 
-Robustness contract: loading **never raises**.  Any unreadable,
-truncated, version-skewed, schema-broken, or program-mismatched entry
-degrades to a miss plus a WARNING diagnostic (kind ``store-corrupt``);
-the caller re-solves and overwrites the entry.  ``put`` likewise warns
+Robustness contract: loading never raises on bad *data*.  Any
+unreadable, truncated, version-skewed, schema-broken, or
+program-mismatched entry degrades to a miss plus a WARNING diagnostic
+(kind ``store-corrupt``); the caller re-solves and overwrites the entry.
+Only the data errors such an entry can provoke are caught
+(:data:`_CORRUPT`) — a programming error in the load path propagates
+instead of masquerading as corruption.  ``put`` likewise warns
 (kind ``store-write-failed``) instead of raising on I/O errors — the
 store is a cache, never a correctness dependency.
 
@@ -36,8 +39,11 @@ shapes the modular mode ships to worker processes — plus index-pair
 edges over that table, so an entry written by one process rebuilds on a
 *fresh parse* of the same source in another process: object names are
 the join key, identity is re-established through
-``program.objects.lookup``, and each distinct ref is resolved and
-normalized exactly once regardless of how many edges mention it.
+``program.objects.lookup``, and each distinct ref is resolved exactly
+once regardless of how many edges mention it.  Stored refs are the
+strategy's own canonical refs, so a load only re-interns them
+(:meth:`~repro.core.strategy.Strategy.canon_ref`); it never
+re-normalizes them.
 
 Results containing engine-invented objects that live outside the
 program's object table (the pessimistic ``<unknown>`` sink) cannot be
@@ -68,6 +74,11 @@ __all__ = ["ResultStore", "StoredResult", "store_key"]
 #: Bump whenever the payload schema or the key text changes shape; a
 #: version-skewed entry is a miss, never a parse attempt.
 STORE_VERSION = 1
+
+#: What a corrupt entry can raise while being read and rebuilt (JSON and
+#: UTF-8 decoding errors are ``ValueError`` subclasses).  Anything else
+#: out of :meth:`ResultStore.load` is a bug and propagates.
+_CORRUPT = (OSError, ValueError, KeyError, TypeError, IndexError)
 
 
 # ----------------------------------------------------------------------
@@ -172,11 +183,41 @@ def _ref_of_spec(spec, program: Program) -> Optional[Ref]:
     obj = program.objects.lookup(name)
     if obj is None:
         return None
-    if kind == "F":
+    if kind == "F" and isinstance(extra, list):
         return FieldRef(obj, tuple(extra))
-    if kind == "O":
-        return OffsetRef(obj, int(extra))
+    if kind == "O" and type(extra) is int:
+        return OffsetRef(obj, extra)
     return None
+
+
+def _checked_int(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _stats_of(raw) -> EngineStats:
+    if not isinstance(raw, dict):
+        raise ValueError("stats is not an object")
+    stats = EngineStats.from_dict(raw)
+    for name, value in stats.as_dict().items():
+        if name == "backend":
+            if not isinstance(value, str):
+                raise ValueError(f"stats.backend is not a string: {value!r}")
+        elif type(value) not in (int, float):
+            raise ValueError(f"stats.{name} is not a number: {value!r}")
+    return stats
+
+
+def _summary_of(raw) -> FunctionSummary:
+    if not isinstance(raw, dict) or not isinstance(raw["params"], dict):
+        raise ValueError(f"malformed summary: {raw!r}")
+    return FunctionSummary(
+        name=raw["name"], scc=_checked_int(raw["scc"]),
+        level=_checked_int(raw["level"]),
+        params={k: list(v) for k, v in raw["params"].items()},
+        returns=list(raw["returns"]),
+    )
 
 
 class StoredResult:
@@ -244,8 +285,8 @@ class ResultStore:
         ``store-write-failed``) and returns ``None`` on I/O failure.
         """
         # Facts are stored as a table of distinct ref specs plus index
-        # pairs: each distinct ref is resolved and normalized exactly
-        # once on load, so rebuild cost tracks distinct refs, not edges.
+        # pairs: each distinct ref is resolved exactly once on load, so
+        # rebuild cost tracks distinct refs, not edges.
         refs: List[List] = []
         index: Dict[Ref, int] = {}
 
@@ -309,8 +350,8 @@ class ResultStore:
     ) -> Optional[StoredResult]:
         """Look up the fixpoint for (program, strategy, …); ``None`` on miss.
 
-        Never raises: corrupted or truncated entries degrade to a miss
-        with a WARNING diagnostic (kind ``store-corrupt``).
+        Corrupted or truncated entries degrade to a miss with a WARNING
+        diagnostic (kind ``store-corrupt``).
         """
         key = store_key(
             program, strategy, strict=strict,
@@ -345,17 +386,17 @@ class ResultStore:
                 ref = _ref_of_spec(spec, program)
                 if ref is None:
                     raise ValueError(f"unresolvable ref spec {spec!r}")
-                refs.append(strategy.normalize(ref))
+                refs.append(strategy.canon_ref(ref))
             n = len(refs)
             ids = [facts.intern(r) for r in refs]
-            # On a fresh fact base of already-canonical refs the interned
-            # IDs are dense table indices, so a destination list becomes
-            # a bitset directly; a tampered entry whose refs collide
-            # after normalization falls back to per-edge adds.
+            # On a fresh fact base of distinct refs the interned IDs are
+            # dense table indices, so a destination list becomes a
+            # bitset directly; a tampered entry with duplicate refs falls
+            # back to per-edge adds.
             dense = ids == list(range(n))
             for entry in payload["adjacency"]:
                 src_i, dsts = entry
-                if not 0 <= int(src_i) < n:
+                if not 0 <= src_i < n:
                     raise ValueError(f"source index out of range: {src_i!r}")
                 if dense:
                     bits = bytearray((n + 7) // 8)
@@ -367,25 +408,18 @@ class ResultStore:
                     facts.add_bits(ids[src_i], int.from_bytes(bits, "little"))
                 else:
                     for d in dsts:
-                        if not 0 <= int(d) < n:
+                        if not 0 <= d < n:
                             raise ValueError(
                                 f"target index out of range: {d!r}")
                         facts.add_id(ids[src_i], ids[d])
-            stats = EngineStats.from_dict(payload["stats"])
+            stats = _stats_of(payload["stats"])
             stats.store_hits = 1
             stats.store_misses = 0
             raw = payload.get("summaries")
             summaries = None
             if raw is not None:
-                summaries = [
-                    FunctionSummary(
-                        name=s["name"], scc=int(s["scc"]), level=int(s["level"]),
-                        params={k: list(v) for k, v in s["params"].items()},
-                        returns=list(s["returns"]),
-                    )
-                    for s in raw
-                ]
-        except Exception as err:  # corruption-safe by contract
+                summaries = [_summary_of(s) for s in raw]
+        except _CORRUPT as err:
             self.misses += 1
             self._warn("store-corrupt",
                        f"store entry {path.name} unreadable "

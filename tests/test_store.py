@@ -5,15 +5,18 @@ Three contracts are pinned here:
 - **Key sensitivity**: the hash must change — and hence lookups must
   miss — when any fixpoint-determining input changes: program text,
   strategy, ABI, strict/lenient mode, Assumption 1.  And it must NOT
-  change for fixpoint-irrelevant inputs (the propagation backend).
-- **Round-trip fidelity**: a warm-started result's points-to sets are
-  byte-identical to the solved ones, across independent parses of the
-  same source (fresh object identities), with ``store_hits`` visible
-  in the result stats and the session counters.
+  change for fixpoint-irrelevant inputs (the propagation backend) or
+  across independent parses of the same source.
+- **Round-trip fidelity**: under every registered strategy, a
+  warm-started result's points-to sets are byte-identical to the solved
+  ones, across independent parses of the same source (fresh object
+  identities), with ``store_hits`` visible in the result stats and the
+  session counters.
 - **Corruption safety**: whatever is on disk under the key — truncated
   JSON, random bytes, schema junk, version skew, facts naming unknown
   objects — a load degrades to a miss plus a WARNING diagnostic
-  (kind ``store-corrupt``), never a crash.
+  (kind ``store-corrupt``), never a crash.  A programming error in the
+  load path is not corruption: it propagates.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import random
 import pytest
 
 from repro import CommonInitialSequence, Offsets, analyze, program_from_c
+from repro.core import STRATEGY_BY_KEY
 from repro.core.facts import FactBase
 from repro.core.result import Result
 from repro.ctype.layout import LP64, Layout
@@ -87,17 +91,19 @@ def test_key_sees_struct_member_changes() -> None:
 # ---------------------------------------------------------------------------
 # Round trip.
 # ---------------------------------------------------------------------------
-def test_round_trip_byte_identical_across_parses(tmp_path) -> None:
-    prog, strategy, res = _solved()
+def _assert_round_trip(tmp_path, key: str) -> None:
+    prog, strategy, res = _solved(strategy=STRATEGY_BY_KEY[key]())
     store = ResultStore(tmp_path)
-    key = store.put(prog, res)
-    assert key is not None
-    assert store.path_for(key).exists()
+    sink = DiagnosticSink()
+    stored_key = store.put(prog, res)
+    assert stored_key is not None
+    assert store.path_for(stored_key).exists()
 
     prog2 = program_from_c(SRC, name="t.c")     # fresh identities
-    strategy2 = CommonInitialSequence()
-    warm = store.load(prog2, strategy2)
-    assert warm is not None and warm.key == key
+    strategy2 = STRATEGY_BY_KEY[key]()
+    warm = store.load(prog2, strategy2, diagnostics=sink)
+    assert not [d for d in sink.records if d.kind == "store-corrupt"]
+    assert warm is not None and warm.key == stored_key
     for obj in prog.objects.all_objects():
         o2 = prog2.objects.lookup(obj.name)
         a = sorted(repr(r) for r in res.points_to(FieldRef(obj, ())))
@@ -106,6 +112,15 @@ def test_round_trip_byte_identical_across_parses(tmp_path) -> None:
     assert warm.result.stats.store_hits == 1
     assert warm.result.facts.edge_count() == res.facts.edge_count()
     assert store.hits == 1 and store.misses == 0
+
+
+def test_round_trip_byte_identical_across_parses(tmp_path) -> None:
+    _assert_round_trip(tmp_path, CommonInitialSequence.key)
+
+
+@pytest.mark.parametrize("key", sorted(STRATEGY_BY_KEY))
+def test_round_trip_every_strategy(tmp_path, key) -> None:
+    _assert_round_trip(tmp_path, key)
 
 
 def test_modular_summaries_round_trip(tmp_path) -> None:
@@ -187,6 +202,26 @@ def _corruptions(payload_text: str):
     doc = json.loads(payload_text)
     doc["refs"] = "oops"                                # table not a list
     yield json.dumps(doc)
+    doc = json.loads(payload_text)
+    doc["refs"][0][2] = float("inf")                    # non-integer offset
+    yield json.dumps(doc)
+    doc = json.loads(payload_text)
+    doc["adjacency"] = [[float("inf"), [0]]]            # non-integer index
+    yield json.dumps(doc)
+    doc = json.loads(payload_text)
+    doc["stats"] = [1, 2]                               # stats not an object
+    yield json.dumps(doc)
+    doc = json.loads(payload_text)
+    doc["stats"]["facts"] = "many"                      # stat not a number
+    yield json.dumps(doc)
+    doc = json.loads(payload_text)
+    doc["summaries"] = [{"name": "main", "scc": 0, "level": 0,
+                         "params": [], "returns": []}]  # params not a map
+    yield json.dumps(doc)
+    doc = json.loads(payload_text)
+    doc["summaries"] = [{"name": "main", "scc": float("inf"), "level": 0,
+                         "params": {}, "returns": []}]  # scc not an int
+    yield json.dumps(doc)
 
 
 def test_corrupted_entries_degrade_to_miss_with_warning(tmp_path) -> None:
@@ -208,6 +243,23 @@ def test_corrupted_entries_degrade_to_miss_with_warning(tmp_path) -> None:
     # The pristine entry still loads (the store object is not poisoned).
     path.write_text(pristine)
     assert store.load(prog, strategy) is not None
+
+
+def test_programming_error_in_load_propagates(tmp_path, monkeypatch) -> None:
+    """Only data errors degrade to a miss; a bug in the load path (here,
+    a strategy whose canonicalization is broken) must surface."""
+    prog, strategy, res = _solved()
+    store = ResultStore(tmp_path)
+    store.put(prog, res)
+
+    def broken(ref):
+        raise AttributeError("bug, not corruption")
+
+    monkeypatch.setattr(strategy, "canon_ref", broken)
+    sink = DiagnosticSink()
+    with pytest.raises(AttributeError):
+        store.load(prog, strategy, diagnostics=sink)
+    assert not [d for d in sink.records if d.kind == "store-corrupt"]
 
 
 def test_corrupt_entry_makes_session_resolve(tmp_path) -> None:
