@@ -193,19 +193,27 @@ class ServiceApp:
         except Exception as exc:  # noqa: BLE001 - the contract is "no leak"
             if not counted:
                 self._count_request(label)
-            with self._counter_lock:
-                self.counters.internal_errors += 1
-            status = 500
-            payload = error_payload(
-                500, "internal-error",
-                f"unhandled {type(exc).__name__} while serving {label}",
-            )
+            status, payload = self.internal_error(exc, label)
         with self._counter_lock:
             bucket = f"{status // 100}xx"
             self.counters.responses_by_status[bucket] = (
                 self.counters.responses_by_status.get(bucket, 0) + 1
             )
         return status, payload
+
+    def internal_error(self, exc: BaseException,
+                       label: str) -> Tuple[int, Dict[str, object]]:
+        """Count a server bug and render its 500 envelope.
+
+        The message names the exception *type* only; the wire layer uses
+        this too, for a bug hit while reading a request.
+        """
+        with self._counter_lock:
+            self.counters.internal_errors += 1
+        return 500, error_payload(
+            500, "internal-error",
+            f"unhandled {type(exc).__name__} while serving {label}",
+        )
 
     def _route(self, method: str, path: str):
         methods_for_path = []

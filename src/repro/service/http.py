@@ -15,7 +15,23 @@ This module owns only the wire concerns:
 - every response — success or failure — is one JSON document with
   ``Content-Type: application/json``; the app's
   :meth:`~repro.service.app.ServiceApp.handle` guarantees the payload
-  exists for every outcome.
+  exists for every outcome.  ``PUT`` and ``PATCH`` go through the app
+  too, so they get its 405 envelope rather than the stdlib's HTML 501
+  page;
+- every response leaves in exactly **one write**: status line, headers,
+  blank line and body are joined into one buffer before the socket sees
+  any of it.  Split across two ``send()`` calls, the small second
+  segment waits behind Nagle's algorithm for the client's delayed ACK —
+  about 40 ms on Linux — on every keep-alive request after the first.
+  A buffered writer (``wbufsize = -1``) is not a fix: it flushes bodies
+  larger than its 8 KiB buffer in a second write, and answers such as a
+  mod/ref table for a suite program are tens of KB.  With one write,
+  ``TCP_NODELAY`` changes nothing, so the socket is left at its
+  defaults;
+- a failure while reading the request (a socket error, a malformed
+  header value) is a 400 ``bad-request``; any other exception there is
+  a server bug and becomes the app's 500 ``internal-error`` envelope,
+  counted in ``internal_errors``.
 
 :func:`start_server` runs the server on a background thread and returns
 a handle with the bound URL — the form tests, docs, and examples use
@@ -87,9 +103,13 @@ class _Handler(BaseHTTPRequestHandler):
         except ServiceError as err:
             self._respond(err.status, err.payload())
             return
-        except Exception:  # noqa: BLE001 - socket errors mid-read
+        except (OSError, ValueError):    # socket errors mid-read
             self._respond(400, error_payload(
                 400, "bad-request", "could not read the request body"))
+            return
+        except Exception as exc:  # noqa: BLE001 - a bug, rendered as a 500
+            self._respond(*self.server.app.internal_error(
+                exc, f"{method} (reading the request)"))
             return
         status, payload = self.server.app.handle(
             method, parts.path, query, body
@@ -102,8 +122,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
+            # One write for head and body (see the module docstring):
+            # what ``end_headers()`` would do, with the body appended
+            # before the flush.  An HTTP/0.9 request has no head.
+            self._headers_buffer = getattr(self, "_headers_buffer", [])
+            if self.request_version != "HTTP/0.9":
+                self._headers_buffer.append(b"\r\n")
+            self._headers_buffer.append(data)
+            self.flush_headers()
         except (BrokenPipeError, ConnectionResetError):
             pass                    # client went away; nothing to salvage
 
@@ -116,6 +142,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:  # noqa: N802
         self._dispatch("DELETE")
+
+    def do_PUT(self) -> None:  # noqa: N802
+        self._dispatch("PUT")
+
+    def do_PATCH(self) -> None:  # noqa: N802
+        self._dispatch("PATCH")
 
 
 class ServiceServer(ThreadingHTTPServer):

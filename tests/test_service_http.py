@@ -14,12 +14,15 @@ The acceptance contract for the service (ISSUE 8 / ROADMAP
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
+import time
 import urllib.request
 from pathlib import Path
 
@@ -27,6 +30,7 @@ import pytest
 
 from repro.service import ServiceConfig, start_server
 from repro.service.client import ServiceClient, ServiceClientError
+from repro.service.http import _Handler
 from repro.suite.generator import ADVERSARIAL, generate_program
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +88,109 @@ class TestRoundTrip:
                 client.create_session("int x;" + " " * 4096)
             assert exc.value.status == 413
             assert exc.value.kind == "request-too-large"
+
+
+class TestWireContract:
+    def _request(self, server, method, path, body=None):
+        host, port = server.server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request(method, path, body=body)
+            resp = conn.getresponse()
+            return resp.status, resp.getheader("Content-Type"), resp.read()
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("verb", ["PUT", "PATCH"])
+    def test_unsupported_verb_is_json_405(self, server, verb):
+        status, ctype, data = self._request(server, verb, "/v1/sessions",
+                                            body=b"{}")
+        assert status == 405
+        assert ctype == "application/json"
+        error = json.loads(data)["error"]
+        assert error["kind"] == "method-not-allowed"
+        assert "GET" in error["message"] and "POST" in error["message"]
+
+    def test_read_bug_is_500_and_counted(self, server, monkeypatch):
+        def broken(self):
+            raise RuntimeError("bug in the body reader")
+
+        monkeypatch.setattr(_Handler, "_read_body", broken)
+        status, ctype, data = self._request(server, "GET", "/healthz")
+        assert status == 500
+        assert ctype == "application/json"
+        error = json.loads(data)["error"]
+        assert error["kind"] == "internal-error"
+        assert "RuntimeError" in error["message"]
+        assert "bug in the body reader" not in error["message"]
+        assert server.app.counters.internal_errors == 1
+
+    def test_read_socket_error_stays_400(self, server, monkeypatch):
+        def timed_out(self):
+            raise TimeoutError("read timed out")
+
+        monkeypatch.setattr(_Handler, "_read_body", timed_out)
+        status, _, data = self._request(server, "GET", "/healthz")
+        assert status == 400
+        assert json.loads(data)["error"]["kind"] == "bad-request"
+        assert server.app.counters.internal_errors == 0
+
+
+class TestKeepAlive:
+    """Many requests on one connection, as a keep-alive client sends them.
+
+    A response written as head then body stalls each request after the
+    first for the client's delayed ACK (~40 ms on Linux).  ``urlopen``
+    opens a connection per call, where TCP quick-ACK hides the stall,
+    so this drives ``http.client`` directly.  The bound is on what the
+    kept connection adds over a fresh one, so the handler's own time
+    (a few ms for bc's mod/ref table) cancels out.
+    """
+
+    STALL_FREE_S = 0.010     # the stall adds ~44 ms; one write adds ~0
+
+    @staticmethod
+    def _get(conn, path):
+        started = time.perf_counter()
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        data = resp.read()
+        elapsed = time.perf_counter() - started
+        assert resp.status == 200, data[:200]
+        return elapsed, data
+
+    def _added_by_keep_alive(self, server, path, n):
+        """Median seconds one connection adds per request, and a body."""
+        host, port = server.server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            _, data = self._get(conn, path)     # the first is never stalled
+            kept = [self._get(conn, path)[0] for _ in range(n)]
+        finally:
+            conn.close()
+        fresh = []
+        for _ in range(n):
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                fresh.append(self._get(conn, path)[0])
+            finally:
+                conn.close()
+        return statistics.median(kept) - statistics.median(fresh), data
+
+    def test_healthz_has_no_delayed_ack_stall(self, server):
+        added, _ = self._added_by_keep_alive(server, "/healthz", 20)
+        assert added < self.STALL_FREE_S, added
+
+    def test_large_body_has_no_delayed_ack_stall(self, server):
+        source = (REPO_ROOT / "benchmarks" / "c_programs" / "bc.c").read_text()
+        sid = ServiceClient(server.url).create_session(
+            source, name="bc.c")["session"]["id"]
+        added, data = self._added_by_keep_alive(
+            server, f"/v1/sessions/{sid}/query?kind=modref", 5)
+        # Larger than an 8 KiB write buffer, so a buffered writer would
+        # still send the body in a second write.
+        assert len(data) > 16 * 1024
+        assert added < self.STALL_FREE_S, added
 
 
 class TestConcurrentClients:

@@ -12,7 +12,11 @@ it the way an external tenant would:
 4. a sweep of ADVERSARIAL-preset fuzz programs submitted over HTTP in
    both strict and lenient mode — every response must be a session or a
    structured JSON diagnostic envelope, never a 500;
-5. SIGTERM must produce a clean shutdown (exit 0, ``shutdown: clean``).
+5. on one keep-alive connection, 20 ``GET /healthz`` and 5 mod/ref
+   queries on ``bc.c`` (a ~28 KB answer) must each take, in the median,
+   under 10 ms more than on fresh connections — a response sent in two
+   writes stalls ~40 ms per request on the client's delayed ACK;
+6. SIGTERM must produce a clean shutdown (exit 0, ``shutdown: clean``).
 
 Exit status is nonzero on any violation, with the failing step named on
 stderr.  Usage::
@@ -23,12 +27,15 @@ stderr.  Usage::
 from __future__ import annotations
 
 import argparse
+import http.client
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+from urllib.parse import urlsplit
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -116,6 +123,60 @@ def check_adversarial(client: ServiceClient, seeds: range) -> None:
           f"{rejected} structured rejections, 0 internal errors")
 
 
+def keep_alive_added_s(url: str, path: str, n: int) -> tuple[float, bytes]:
+    """Median seconds one kept connection adds per ``GET`` over a fresh
+    connection, and the response body.  The handler's own time cancels
+    out; a delayed-ACK stall does not."""
+    parts = urlsplit(url)
+
+    def connect() -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(parts.hostname, parts.port,
+                                          timeout=30)
+
+    def get(conn: http.client.HTTPConnection) -> tuple[float, bytes]:
+        started = time.perf_counter()
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        data = resp.read()
+        if resp.status != 200:
+            fail("keep-alive", f"GET {path}: HTTP {resp.status}")
+        return time.perf_counter() - started, data
+
+    conn = connect()
+    try:
+        _, data = get(conn)             # the first request is never stalled
+        kept = [get(conn)[0] for _ in range(n)]
+    finally:
+        conn.close()
+    fresh = []
+    for _ in range(n):
+        conn = connect()
+        try:
+            fresh.append(get(conn)[0])
+        finally:
+            conn.close()
+    return statistics.median(kept) - statistics.median(fresh), data
+
+
+def check_keep_alive(client: ServiceClient, limit_s: float = 0.010) -> None:
+    source = (REPO / "benchmarks" / "c_programs" / "bc.c").read_text()
+    sid = client.create_session(source, name="bc.c")["session"]["id"]
+    report = []
+    for label, path, n in (
+            ("healthz", "/healthz", 20),
+            ("bc modref", f"/v1/sessions/{sid}/query?kind=modref", 5)):
+        added, data = keep_alive_added_s(client.base_url, path, n)
+        if added >= limit_s:
+            fail("keep-alive",
+                 f"{label} ({len(data)} bytes): one connection adds "
+                 f"{added * 1e3:.1f} ms per request (limit "
+                 f"{limit_s * 1e3:.0f} ms) -- a response sent in more than "
+                 f"one write waits for the client's delayed ACK")
+        report.append(f"{label} ({len(data)} bytes) {added * 1e3:+.2f} ms")
+    print("keep-alive ok: per request over a fresh connection, "
+          + ", ".join(report))
+
+
 def check_shutdown(proc: subprocess.Popen) -> None:
     proc.send_signal(signal.SIGTERM)
     try:
@@ -143,6 +204,7 @@ def main(argv=None) -> int:
         client = ServiceClient(url)
         check_round_trip(client)
         check_adversarial(client, range(lo, hi))
+        check_keep_alive(client)
     except BaseException:
         proc.kill()
         raise
