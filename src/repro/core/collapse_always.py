@@ -40,7 +40,7 @@ class CollapseAlways(Strategy):
         super().__init__(layout)
         # Every ref of an object collapses to the same whole-object ref;
         # cache it per object (keys use id(obj), values pin the object).
-        self._whole_cache: dict = self.shared_cache("whole")
+        self._whole_cache: dict = self.memo_table("whole")
 
     def _whole(self, obj: AbstractObject) -> FieldRef:
         hit = self._whole_cache.get(id(obj))

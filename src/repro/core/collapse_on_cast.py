@@ -66,7 +66,7 @@ class CollapseOnCast(Strategy):
         # Memo for the private ``_lookup`` (the entry resolve() iterates
         # per field position, uncounted per footnote 7).  Values pin τ
         # because keys use id(τ).
-        self._priv_lookup_cache: dict = self.shared_cache("priv_lookup")
+        self._priv_lookup_cache: dict = self.memo_table("priv_lookup")
 
     # ------------------------------------------------------------------
     def normalize(self, ref: FieldRef) -> Ref:

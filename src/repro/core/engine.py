@@ -183,16 +183,16 @@ class Engine:
         self._bound: Set[Tuple[int, AbstractObject]] = set()
         # Normalization memos.  ``normalize`` is pure type-level, so the
         # obj -> canonical-ref (and (obj, path) -> canonical-ref) maps
-        # are shared across engines of the same (strategy class, layout)
-        # — a repeat solve of the same program starts with a warm table.
+        # live on the strategy instance — a repeat solve with the same
+        # strategy starts with a warm table, and the tables die with it.
         # A traced engine keeps private tables: its misses also record
         # per-engine provenance notes (note_normalize).
         if self.tracer is None:
             self._norm_cache: Dict[AbstractObject, Ref] = (
-                self.strategy.shared_cache("engine_norm_obj")
+                self.strategy.memo_table("engine_norm_obj")
             )
             self._norm_ref_cache: Dict[tuple, tuple] = (
-                self.strategy.shared_cache("engine_norm_ref")
+                self.strategy.memo_table("engine_norm_ref")
             )
         else:
             self._norm_cache = {}

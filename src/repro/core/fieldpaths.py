@@ -23,34 +23,38 @@ union (the safe treatment mentioned in §2's final paragraph).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..ctype.types import ArrayType, CType, StructType, UnionType
 
 
 def _memo_by_type(fn: Callable) -> Callable:
-    """Memoize a pure function keyed on (type identity, extra args).
+    """Memoize a pure function of (type, extra args) on the type itself.
 
-    Type objects have identity semantics and are immutable once defined,
-    so results keyed on ``id(type)`` are stable.  The cache keeps a strong
-    reference to the type, which prevents CPython from ever reusing the id
-    for a different type object while the entry exists.
+    Results live in the type object's ``_memo`` dict (see
+    :class:`~repro.ctype.types.CType`), so they are freed together with
+    the type and its program; nothing outside the type refers to them.
     """
-    cache: Dict[tuple, tuple] = {}
+
+    name = fn.__name__          # a string key keeps memoized types picklable
 
     def wrapper(t: CType, *args):
-        key = (id(t),) + args
-        hit = cache.get(key)
-        if hit is not None:
-            return hit[1]
+        memo = t.__dict__.get("_memo")
+        key = (name,) + args
+        if memo is not None:
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
         result = fn(t, *args)
         # A forward-declared record may be completed later, changing the
         # answer: only cache once the type can no longer change.
         if not (isinstance(t, StructType) and not t.is_complete):
-            cache[key] = (t, result)
+            if memo is None:
+                memo = t.__dict__["_memo"] = {}
+            memo[key] = result
         return result
 
-    wrapper.__name__ = fn.__name__
+    wrapper.__name__ = name
     wrapper.__doc__ = fn.__doc__
     return wrapper
 

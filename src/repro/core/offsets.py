@@ -49,7 +49,7 @@ class Offsets(Strategy):
         # canon_offset_ref is called once per (window, delta-batch) in the
         # engine's drain loop; memoize per (object, offset).  Values pin
         # the object because keys use id(obj).
-        self._canon_cache: dict = self.shared_cache("canon_offset")
+        self._canon_cache: dict = self.memo_table("canon_offset")
 
     # ------------------------------------------------------------------
     def normalize(self, ref: FieldRef) -> Ref:

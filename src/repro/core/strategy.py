@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ctype.layout import Layout
 from ..ctype.types import CType, StructType
@@ -74,44 +74,15 @@ class Window:
 PairList = List[Tuple[Ref, Ref]]
 ResolveResult = Union[PairList, Window]
 
-_SHARED_LAYOUT: Optional[Layout] = None
-
-
-def _default_layout() -> Layout:
-    """The process-wide default :class:`Layout` (lazily created)."""
-    global _SHARED_LAYOUT
-    if _SHARED_LAYOUT is None:
-        _SHARED_LAYOUT = Layout()
-    return _SHARED_LAYOUT
-
-
-#: Shared memo tables, keyed (strategy class, layout identity, table name).
-#: Everything a strategy memoizes is pure type/layout-level computation —
-#: independent of analysis facts — so instances of the same class over the
-#: same layout can share tables: a repeated benchmark solve (or a second
-#: analysis of the same program) starts warm.  The first key element pins
-#: nothing, but the layout is pinned via ``_SHARED_TABLE_PINS`` so the
-#: ``id(layout)`` component stays valid.  Entries live for the process
-#: lifetime by design (they are keyed caches of immutable computation).
-_SHARED_TABLES: dict = {}
-_SHARED_TABLE_PINS: dict = {}
-
-
-def _shared_tables(cls: type, layout: Layout) -> dict:
-    key = (cls, id(layout))
-    tables = _SHARED_TABLES.get(key)
-    if tables is None:
-        _SHARED_TABLES[key] = tables = {}
-        _SHARED_TABLE_PINS[key] = layout
-    return tables
-
-
 class Strategy(abc.ABC):
     """One instance of the framework: the three tunable functions.
 
     Subclasses must be stateless with respect to analysis facts (the same
     strategy object may be reused across programs); they may cache
-    type-level computations.
+    type-level computations.  Every memo table belongs to the instance,
+    so it lives exactly as long as the strategy does: a strategy reused
+    across programs keeps their types and objects alive until it is
+    dropped.
     """
 
     #: Human-readable name, matching the paper's terminology.
@@ -124,33 +95,27 @@ class Strategy(abc.ABC):
     def __init__(self, layout: Optional[Layout] = None) -> None:
         #: Layout engine; only the non-portable strategy consults it, but
         #: all strategies carry one so clients can ask layout questions.
-        #: The default is a shared module-level instance: Layout caches
-        #: per-record layouts keyed on type identity, and type objects
-        #: are immutable once built, so sharing keeps those caches warm
-        #: across strategy instances (e.g. benchmark repeats).
-        self.layout = layout or _default_layout()
+        #: Without an explicit layout the strategy builds its own, so its
+        #: per-record cache dies with the strategy.
+        self.layout = layout or Layout()
+        #: Named memo tables (see memo_table), owned by this instance.
+        self._memo_tables: Dict[str, dict] = {}
         # Memo tables for cached_lookup/cached_resolve.  Cache keys use
         # id(τ) and id(ref) — an int-tuple hash instead of structural
         # hashing; sound because refs reaching the engine's hot path are
         # canonical instances (see canon_ref) and every entry's value
         # pins the keyed objects alive against id reuse.  A non-canonical
         # ref merely misses the cache and recomputes.
-        #
-        # All tables are shared across instances of the same class over
-        # the same layout (see _SHARED_TABLES): the memoized computation
-        # is pure type/layout-level, so a second solve of the same
-        # program starts warm.
-        self._lookup_cache: dict = self.shared_cache("lookup")
-        self._resolve_cache: dict = self.shared_cache("resolve")
+        self._lookup_cache: dict = self.memo_table("lookup")
+        self._resolve_cache: dict = self.memo_table("resolve")
         #: Canonical-instance table for normalized refs (see canon_ref).
-        self._canon_refs: dict = self.shared_cache("canon")
+        self._canon_refs: dict = self.memo_table("canon")
         # Memo for cached_all_refs; keyed id(obj), value pins the object.
-        self._all_refs_cache: dict = self.shared_cache("all_refs")
-        # Per-instance memo instrumentation for the cached_* entry points
-        # (surfaced by repro.obs.metrics).  Deliberately *not* part of
-        # EngineStats: the memo tables are shared per (class, layout), so
-        # hit rates depend on what ran earlier in the process — they are
-        # observability data, not gateable analysis results.
+        self._all_refs_cache: dict = self.memo_table("all_refs")
+        # Memo instrumentation for the cached_* entry points (surfaced by
+        # repro.obs.metrics).  Deliberately *not* part of EngineStats:
+        # hit rates depend on what this instance solved before — they
+        # are observability data, not gateable analysis results.
         self.memo_lookup_hits: int = 0
         self.memo_lookup_misses: int = 0
         self.memo_resolve_hits: int = 0
@@ -158,14 +123,14 @@ class Strategy(abc.ABC):
         self.memo_all_refs_hits: int = 0
         self.memo_all_refs_misses: int = 0
 
-    def shared_cache(self, name: str) -> dict:
-        """A memo dict shared by every same-class strategy over this layout.
+    def memo_table(self, name: str) -> dict:
+        """This instance's memo dict called ``name`` (created on first use).
 
-        Subclasses use this for their private caches too; ``name`` keeps
-        the tables separate.  Only fact-independent (type/layout-level)
-        computation may be stored here.
+        Subclasses and the engine use this for their private caches too;
+        ``name`` keeps the tables separate.  Only fact-independent
+        (type/layout-level) computation may be stored here.
         """
-        return _shared_tables(type(self), self.layout).setdefault(name, {})
+        return self._memo_tables.setdefault(name, {})
 
     def canon_ref(self, ref: Ref) -> Ref:
         """The canonical instance of a normalized reference.

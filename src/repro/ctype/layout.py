@@ -101,8 +101,8 @@ class _RecordLayout:
     """Cached layout of one struct/union: offsets parallel to members.
 
     ``type`` pins the keyed type object: the cache is keyed on
-    ``id(type)``, and a Layout instance may be shared process-wide, so
-    the entry must keep the type alive against id reuse.
+    ``id(type)``, so the entry must keep the type alive against id reuse
+    for as long as the owning :class:`Layout` lives.
     """
 
     size: int
@@ -115,7 +115,9 @@ class Layout:
     """Layout engine: ``sizeof``/``alignof``/``offsetof`` under one ABI.
 
     Instances cache per-record layouts, so a single :class:`Layout` should
-    be shared across an analysis run.
+    be shared across an analysis run.  The cache pins every record it
+    has laid out; it is freed with the layout (each strategy built
+    without an explicit layout owns its own).
     """
 
     def __init__(self, abi: ABI = ILP32):

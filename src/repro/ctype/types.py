@@ -70,6 +70,10 @@ class CType:
     Subclasses are lightweight dataclasses.  All types carry a tuple of
     qualifiers in :attr:`quals` (sorted, e.g. ``("const",)``); most code can
     ignore qualifiers, but compatibility checking must not.
+
+    An instance may carry a ``_memo`` dict holding results of pure
+    functions of the type (see :mod:`repro.core.fieldpaths`); it dies
+    with the type, and a clone starts without it.
     """
 
     quals: Tuple[str, ...] = ()
@@ -85,7 +89,9 @@ class CType:
     def _clone(self) -> "CType":
         import copy
 
-        return copy.copy(self)
+        clone = copy.copy(self)
+        clone.__dict__.pop("_memo", None)
+        return clone
 
     # Convenience predicates --------------------------------------------
     @property

@@ -46,7 +46,7 @@ from ..clients.modref import mod_ref
 from ..core import STRATEGY_BY_KEY
 from ..core.backend import backend_name
 from ..core.stats import AnalysisBudgetExceeded
-from ..ctype.layout import ILP32, LP64, Layout
+from ..core.strategy import Strategy
 from ..diag import FrontendError
 from ..obs.metrics import session_metrics
 from ..session import AnalysisSession
@@ -108,8 +108,16 @@ class ServiceConfig:
                            f"expected one of {', '.join(_ABIS)}")
 
 
-def _layout_for(abi: str) -> Layout:
-    return Layout(LP64 if abi == "lp64" else ILP32)
+def _strategy(entry: PooledSession, key: str) -> Strategy:
+    """The pool entry's strategy instance for ``key`` (built on first use).
+
+    The entry owns its strategies, all over its one layout, so their
+    memo tables are freed together with the session.
+    """
+    strategy = entry.strategies.get(key)
+    if strategy is None:
+        strategy = entry.strategies[key] = STRATEGY_BY_KEY[key](entry.layout)
+    return strategy
 
 
 @dataclass
@@ -319,15 +327,10 @@ class ServiceApp:
     def _solve(self, entry: PooledSession, strategy_key: str):
         """Solve (or fetch the cached result of) one strategy for ``entry``.
 
-        Caller holds ``entry.lock``.  Strategy instances are cached on
-        the pool entry so repeated queries share one layout — which is
-        what makes the session's solve cache hit (counted as the
-        server's ``solve_cache_hits``).
+        Caller holds ``entry.lock``.  A repeat query hits the session's
+        solve cache (counted as the server's ``solve_cache_hits``).
         """
-        strategy = entry.strategies.get(strategy_key)
-        if strategy is None:
-            strategy = STRATEGY_BY_KEY[strategy_key](_layout_for(entry.abi))
-            entry.strategies[strategy_key] = strategy
+        strategy = _strategy(entry, strategy_key)
         before = entry.session.solve_cache_hits
         try:
             result = entry.session.solve(strategy, backend=entry.backend)
@@ -522,10 +525,7 @@ class ServiceApp:
         Whole-program kinds (modref, callgraph, derefs) never take this
         path: they inspect every pointer, so demand buys nothing.
         """
-        strategy = entry.strategies.get(strategy_key)
-        if strategy is None:
-            strategy = STRATEGY_BY_KEY[strategy_key](_layout_for(entry.abi))
-            entry.strategies[strategy_key] = strategy
+        strategy = _strategy(entry, strategy_key)
         program = entry.session.program
         fn = query.get("function")
         if kind == "alias":

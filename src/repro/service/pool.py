@@ -35,6 +35,7 @@ import uuid
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
+from ..ctype.layout import ILP32, LP64, Layout
 from ..session import AnalysisSession
 from .errors import ServiceError
 
@@ -63,11 +64,11 @@ class PooledSession:
         self.lock = threading.RLock()
         self.created_at = time.time()
         self.bytes_estimate = session.estimated_bytes()
-        #: Strategy instances are cached per entry so repeated queries
-        #: share one ``Strategy`` (and one ``Layout``) — the session's
-        #: solve cache keys on layout identity, so this is what turns a
-        #: repeat query into a solve-cache hit instead of a new engine.
+        #: The entry's strategy instances by key (built on first use by
+        #: the app), all over ``layout``.  Their memo tables stay warm
+        #: across queries and are freed with the entry.
         self.strategies: Dict[str, object] = {}
+        self.layout = Layout(LP64 if abi == "lp64" else ILP32)
         self.queries = 0
         self.deltas = 0
 

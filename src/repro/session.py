@@ -67,10 +67,10 @@ from .ir.stmts import Stmt
 
 __all__ = ["AnalysisSession"]
 
-#: Engine-cache key: strategy class + layout identity (the granularity of
-#: the strategy layer's shared memo tables), trace flag, worklist policy,
-#: propagation-backend name.
-_CacheKey = Tuple[type, int, bool, object, str]
+#: Engine-cache key: strategy class + ABI name (what ``repro.store``
+#: keys results on), trace flag, worklist policy, propagation-backend
+#: name.
+_CacheKey = Tuple[type, str, bool, object, str]
 
 
 class AnalysisSession:
@@ -221,7 +221,7 @@ class AnalysisSession:
         self, strategy: Strategy, trace: bool, worklist, backend
     ) -> _CacheKey:
         wl = worklist if isinstance(worklist, str) else id(worklist)
-        return (type(strategy), id(strategy.layout), trace, wl,
+        return (type(strategy), strategy.layout.abi.name, trace, wl,
                 backend_name(backend))
 
     def solve(
@@ -235,7 +235,7 @@ class AnalysisSession:
         """Solve ``strategy`` over the session's program; cached.
 
         A repeated call with an equivalent configuration (same strategy
-        class and layout, same ``trace``/``worklist``/``backend``)
+        class and ABI, same ``trace``/``worklist``/``backend``)
         returns the cached :class:`Result` without re-solving.
         ``fresh=True`` forces a new engine (replacing the cache entry) —
         benchmark repeats use it so every timed run drains the full

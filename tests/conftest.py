@@ -51,3 +51,25 @@ def field_strategy(request):
 
 def run(src: str, strategy):
     return analyze_c(src, strategy)
+
+
+def struct_types(program):
+    """Every struct/union type reachable from the program's objects."""
+    from repro.ctype.types import ArrayType, FunctionType, PointerType, StructType
+
+    seen = {}
+    stack = [obj.type for obj in program.objects.all_objects()]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, PointerType):
+            stack.append(t.pointee)
+        elif isinstance(t, ArrayType):
+            stack.append(t.elem)
+        elif isinstance(t, FunctionType):
+            stack.append(t.ret)
+            stack.extend(t.params)
+        elif isinstance(t, StructType) and id(t) not in seen:
+            seen[id(t)] = t
+            if t.is_complete:
+                stack.extend(f.type for f in t.members())
+    return list(seen.values())

@@ -4,7 +4,11 @@ memoized strategy layer (and its Figure-3 invariant), EngineStats
 serialization/merging, analysis-budget behaviour on real programs, and
 the parallel bench harness."""
 
+import gc
+import weakref
+
 import pytest
+from conftest import struct_types
 
 from repro.core import ALL_STRATEGIES, STRATEGY_BY_KEY, analyze
 from repro.core.engine import (
@@ -18,6 +22,8 @@ from repro.ctype.types import int_t, ptr
 from repro.frontend import program_from_c
 from repro.ir.objects import ObjectFactory
 from repro.ir.refs import FieldRef
+from repro.session import AnalysisSession
+from repro.suite.generator import GenConfig, generate_program
 
 
 def fr(obj, *path):
@@ -138,6 +144,24 @@ class TestWindowIndex:
 # ---------------------------------------------------------------------------
 
 
+def _solve_and_drop_sessions(seeds):
+    """Solve every registered strategy on one generated program per seed;
+    return weakrefs to each program and its struct types."""
+    refs = []
+    for seed in seeds:
+        program = program_from_c(
+            generate_program(seed, GenConfig(n_statements=60)),
+            name=f"gen{seed}")
+        session = AnalysisSession(program)
+        for cls in STRATEGY_BY_KEY.values():
+            assert session.solve(cls()).facts.edge_count() > 0
+        types = struct_types(program)
+        assert types
+        refs.append(weakref.ref(program))
+        refs.extend(weakref.ref(t) for t in types)
+    return refs
+
+
 class TestStrategyMemoization:
     @pytest.mark.parametrize("cls", ALL_STRATEGIES, ids=lambda c: c.key)
     def test_reused_strategy_instance_matches_fresh(self, cls):
@@ -155,6 +179,15 @@ class TestStrategyMemoization:
             wd, cd = warm.stats.as_dict(), cold.stats.as_dict()
             wd.pop("solve_seconds"), cd.pop("solve_seconds")
             assert wd == cd
+
+    def test_memo_tables_die_with_the_session(self):
+        """Strategy, layout and field-path memos belong to their owners:
+        once a session over distinct programs is dropped, nothing keeps
+        its program or any of its struct types alive."""
+        refs = _solve_and_drop_sessions(seeds=(0, 1, 2))
+        gc.collect()
+        alive = [r() for r in refs if r() is not None]
+        assert alive == []
 
     def test_cached_lookup_counts_every_call(self):
         """The memo cache sits below the instrumentation boundary: hits

@@ -1,5 +1,7 @@
 """Unit tests for the normalized field-path machinery."""
 
+import pickle
+
 from repro.core.fieldpaths import (
     leaf_count,
     normalize_path,
@@ -166,3 +168,22 @@ class TestTypeAt:
     def test_through_array(self):
         s = mk("TA", ("xs", array_of(ptr(char), 4)))
         assert repr(type_at(s, ("xs",))) == "char*"
+
+
+class TestMemoOnType:
+    def test_qualified_clone_starts_without_memo(self):
+        s = mk("Q", ("a", int_t))
+        assert type_at(s, ()) is s
+        c = s.with_quals(["const"])
+        assert type_at(c, ()) is c
+
+    def test_incomplete_record_is_not_memoized(self):
+        s = StructType("Fwd")
+        assert leaf_count(s) == 1
+        s.define([Field("a", int_t), Field("b", int_t)])
+        assert leaf_count(s) == 2
+
+    def test_memoized_type_pickles(self):
+        s = mk("P", ("i", INNER), ("c", char))
+        before = normalized_positions(s)
+        assert normalized_positions(pickle.loads(pickle.dumps(s))) == before

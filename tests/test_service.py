@@ -9,11 +9,17 @@ wire (concurrency, fuzz-over-HTTP, the ``serve`` CLI).
 
 from __future__ import annotations
 
-import pytest
+import gc
+import weakref
 
+import pytest
+from conftest import struct_types
+
+from repro.core import STRATEGY_BY_KEY
 from repro.service import ServiceApp, ServiceConfig, ServiceError
 from repro.service.codec import resolve_ref, statements_from_json
 from repro.service.pool import SessionPool
+from repro.suite.generator import GenConfig, generate_program
 
 SRC = """
 struct S { int *s1; int *s2; } s;
@@ -32,6 +38,30 @@ def create(app, source=SRC, **fields):
                                  {"source": source, **fields})
     assert status == 201, payload
     return payload
+
+
+def _query_and_delete_sessions(app, seeds):
+    """Create one session per generated program, query it under every
+    strategy (whole-program and demand), delete it; return weakrefs to
+    each program and its struct types."""
+    refs = []
+    for seed in seeds:
+        source = generate_program(seed, GenConfig(n_statements=60))
+        sid = create(app, source=source)["session"]["id"]
+        for key in STRATEGY_BY_KEY:
+            for query in ({"kind": "derefs"},
+                          {"kind": "points_to", "target": "p0",
+                           "demand": "1"}):
+                status, payload = app.handle(
+                    "GET", f"/v1/sessions/{sid}/query",
+                    {**query, "strategy": key})
+                assert status == 200, payload
+        program = app.pool.checkout(sid).session.program
+        refs.append(weakref.ref(program))
+        refs.extend(weakref.ref(t) for t in struct_types(program))
+        status, _ = app.handle("DELETE", f"/v1/sessions/{sid}")
+        assert status == 200
+    return refs
 
 
 class TestLifecycle:
@@ -92,6 +122,25 @@ class TestLifecycle:
         status, payload = app.handle("GET", f"/v1/sessions/{sid}")
         assert status == 404
         assert payload["error"]["kind"] == "unknown-session"
+
+    def test_deleted_sessions_free_their_programs(self, app):
+        """A deleted session leaves nothing behind: no strategy, layout
+        or field-path memo keeps its program or struct types alive."""
+        refs = _query_and_delete_sessions(app, seeds=(0, 1, 2))
+        gc.collect()
+        assert app.pool.sessions_live == 0
+        assert [r() for r in refs if r() is not None] == []
+
+    def test_session_strategies_share_its_abi_layout(self, app):
+        sid = create(app, abi="lp64")["session"]["id"]
+        for key in ("offsets", "collapse_on_cast"):
+            status, _ = app.handle("GET", f"/v1/sessions/{sid}/query",
+                                   {"kind": "derefs", "strategy": key})
+            assert status == 200
+        entry = app.pool.checkout(sid)
+        layouts = {id(s.layout) for s in entry.strategies.values()}
+        assert layouts == {id(entry.layout)}
+        assert entry.layout.abi.name == "lp64"
 
     def test_query_cache_hit_counters(self, app):
         sid = create(app)["session"]["id"]

@@ -20,6 +20,7 @@ from repro import (
     program_from_c,
 )
 from repro.core.worklist import FifoWorklist, PriorityWorklist, WORKLISTS
+from repro.ctype.layout import ILP32, LP64, Layout
 from repro.ir.refs import FieldRef
 from repro.ir.stmts import AddrOf
 
@@ -53,6 +54,10 @@ class TestSessionBasics:
         # Tracing is part of the configuration, not a cache hit.
         d = session.solve(CommonInitialSequence(), trace=True)
         assert d is not a and d.tracer is not None
+        # So is the ABI: the cache keys on its name, not layout identity.
+        assert session.solve(CommonInitialSequence(Layout(ILP32))) is a
+        e = session.solve(CommonInitialSequence(Layout(LP64)))
+        assert e is not a
 
     def test_fresh_forces_a_new_engine(self):
         session = AnalysisSession.from_c(SRC)

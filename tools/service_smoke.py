@@ -16,7 +16,11 @@ it the way an external tenant would:
    queries on ``bc.c`` (a ~28 KB answer) must each take, in the median,
    under 10 ms more than on fresh connections — a response sent in two
    writes stalls ~40 ms per request on the client's delayed ACK;
-6. SIGTERM must produce a clean shutdown (exit 0, ``shutdown: clean``).
+6. 30 sessions over distinct generated programs, each created, queried
+   for ``derefs`` under the four paper strategies, and deleted: the
+   server's ``VmRSS`` must grow by at most 25 MB between the 5th and the
+   30th session (skipped where ``/proc`` is absent);
+7. SIGTERM must produce a clean shutdown (exit 0, ``shutdown: clean``).
 
 Exit status is nonzero on any violation, with the failing step named on
 stderr.  Usage::
@@ -42,7 +46,12 @@ SRC = REPO / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.service.client import ServiceClient, ServiceClientError  # noqa: E402
-from repro.suite.generator import ADVERSARIAL, generate_program  # noqa: E402
+from repro.core import ALL_STRATEGIES  # noqa: E402
+from repro.suite.generator import (  # noqa: E402
+    ADVERSARIAL,
+    GenConfig,
+    generate_program,
+)
 
 SOURCE = """\
 struct S { int *s1; int *s2; };
@@ -177,6 +186,40 @@ def check_keep_alive(client: ServiceClient, limit_s: float = 0.010) -> None:
           + ", ".join(report))
 
 
+def vm_rss_mb(pid: int) -> float:
+    """Resident set size of process ``pid`` in MB, from ``/proc``."""
+    status = Path(f"/proc/{pid}/status").read_text()
+    for line in status.splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) / 1024
+    fail("session churn", f"no VmRSS line in /proc/{pid}/status")
+
+
+def check_session_churn(client: ServiceClient, pid: int, sessions: int = 30,
+                        settle: int = 5, limit_mb: float = 25.0) -> None:
+    if not Path(f"/proc/{pid}/status").exists():
+        print("session churn skipped: no /proc to read the server's RSS")
+        return
+    cfg = GenConfig(n_statements=500, n_helper_functions=4, n_structs=6)
+    settled = 0.0
+    for i in range(1, sessions + 1):
+        source = generate_program(1000 + i, cfg)
+        sid = client.create_session(source, name=f"churn{i}.c")["session"]["id"]
+        for cls in ALL_STRATEGIES:
+            client.deref_stats(sid, strategy=cls.key)
+        client.delete_session(sid)
+        if i == settle:
+            settled = vm_rss_mb(pid)
+    grown = vm_rss_mb(pid) - settled
+    if grown > limit_mb:
+        fail("session churn",
+             f"server RSS grew {grown:.1f} MB from session {settle} to "
+             f"{sessions} (limit {limit_mb:.0f} MB) -- a deleted session's "
+             f"program is still reachable")
+    print(f"session churn ok: {sessions} create/derefs/delete cycles, RSS "
+          f"{grown:+.1f} MB from session {settle} to {sessions}")
+
+
 def check_shutdown(proc: subprocess.Popen) -> None:
     proc.send_signal(signal.SIGTERM)
     try:
@@ -205,6 +248,7 @@ def main(argv=None) -> int:
         check_round_trip(client)
         check_adversarial(client, range(lo, hi))
         check_keep_alive(client)
+        check_session_churn(client, proc.pid)
     except BaseException:
         proc.kill()
         raise
