@@ -43,7 +43,6 @@ the perf trajectory of the engine is tracked across changes.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import sys
@@ -169,12 +168,9 @@ def _suite_worker(
     asserted precision-identical to the primary's (same edges, deref
     averages, and gated counters) before its timing is recorded.
 
-    Timed solves run with the cyclic garbage collector paused (the same
-    hygiene ``timeit`` applies): a gen-2 collection landing mid-solve
-    adds milliseconds of pure scheduler noise to a measurement this
-    size.  The collector is flushed before and re-enabled after each
-    strategy's measurement block, so memory stays bounded across the
-    suite.
+    Every solve runs with the cyclic garbage collector paused by the
+    engine itself (:func:`repro.core.engine.no_cyclic_gc`), so no
+    collection lands inside a timed fixpoint.
     """
     from ..core import STRATEGY_BY_KEY
     from ..session import AnalysisSession
@@ -194,44 +190,35 @@ def _suite_worker(
         first: Optional[Result] = None
         by_backend: Dict[str, float] = {}
         first_gated: Optional[dict] = None
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.collect()
-            gc.disable()
-        try:
-            for be in backends:
-                best: Optional[float] = None
-                for _ in range(max(repeats, 1)):
-                    # fresh=True: every timed run drains the full worklist
-                    # on a new engine.
-                    res = session.solve(strategy, fresh=True, backend=be)
-                    if first is None:
-                        first = res
-                        first_gated = _gated_stats(res.stats.as_dict())
-                    elif best is None:
-                        # First run under a secondary backend: the
-                        # fixpoint must be byte-identical to the
-                        # primary's.
-                        got = _gated_stats(res.stats.as_dict())
-                        if (
-                            res.facts.edge_count() != first.facts.edge_count()
-                            or deref_stats(res).average != deref_stats(first).average
-                            or got != first_gated
-                        ):
-                            raise AssertionError(
-                                f"{name}/{key}: backend {be!r} diverged "
-                                f"from {primary!r}: edges "
-                                f"{res.facts.edge_count()} vs "
-                                f"{first.facts.edge_count()}, gated stats "
-                                f"{_dict_diff(got, first_gated)}"
-                            )
-                    t = res.stats.solve_seconds
-                    best = t if best is None or t < best else best
-                by_backend[be] = best or 0.0
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-                gc.collect()
+        for be in backends:
+            best: Optional[float] = None
+            for _ in range(max(repeats, 1)):
+                # fresh=True: every timed run drains the full worklist
+                # on a new engine.
+                res = session.solve(strategy, fresh=True, backend=be)
+                if first is None:
+                    first = res
+                    first_gated = _gated_stats(res.stats.as_dict())
+                elif best is None:
+                    # First run under a secondary backend: the
+                    # fixpoint must be byte-identical to the
+                    # primary's.
+                    got = _gated_stats(res.stats.as_dict())
+                    if (
+                        res.facts.edge_count() != first.facts.edge_count()
+                        or deref_stats(res).average != deref_stats(first).average
+                        or got != first_gated
+                    ):
+                        raise AssertionError(
+                            f"{name}/{key}: backend {be!r} diverged "
+                            f"from {primary!r}: edges "
+                            f"{res.facts.edge_count()} vs "
+                            f"{first.facts.edge_count()}, gated stats "
+                            f"{_dict_diff(got, first_gated)}"
+                        )
+                t = res.stats.solve_seconds
+                best = t if best is None or t < best else best
+            by_backend[be] = best or 0.0
         assert first is not None
         out.append(
             dict(

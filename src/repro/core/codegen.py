@@ -23,7 +23,10 @@ drain as flat Python source specialized to those facts:
   ``_refs_bits``) directly — the memo-hit path never leaves the
   generated function, and only memo misses re-enter the engine's
   slow-path methods (which also own every Figure-3 counter bump on
-  that path, so counters stay byte-identical);
+  that path, so counters stay byte-identical).  The fused memos are
+  the only lookup/resolve memos an untraced solve consults, so an
+  inline hit also bumps the strategy's ``memo_lookup_hits`` /
+  ``memo_resolve_hits``, as the slow path does;
 - difference-propagation frontiers (per edge / window match /
   subscriber list, exactly :class:`~repro.core.backend.DiffPropBackend`'s)
   suppress re-sent bits at the source.
@@ -74,10 +77,11 @@ __all__ = [
 ]
 
 #: Handshake between :func:`load_accel` and a built ``_accel`` module.
-#: Bump whenever the drain entrypoint signature or the subscription /
-#: descriptor layout changes; a stale compiled module is then ignored
-#: (fallback to generated Python) instead of miscomputing.
-ACCEL_API_VERSION = 1
+#: Bump whenever the drain entrypoint signature, the subscription /
+#: descriptor layout or the counters the drain bumps change; a stale
+#: compiled module is then ignored (fallback to generated Python)
+#: instead of miscomputing.  (2: inline memo hits count on the strategy.)
+ACCEL_API_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +178,8 @@ def generate_drain_source(policy: str, windows: bool) -> str:
         "    lookup_add_bits = eng._lookup_add_bits\n",
         "    resolve_install = eng._resolve_install\n",
         "    add_refs_bits = eng._add_refs_bits\n",
-        "    arith_refs = eng.strategy.arith_refs\n",
+        "    strategy = eng.strategy\n",
+        "    arith_refs = strategy.arith_refs\n",
         "    edge_sent_get = edge_sent.get\n",
         "    sub_sent_get = sub_sent.get\n",
         "    adj_get = adj.get\n",
@@ -324,6 +329,7 @@ def generate_drain_source(policy: str, windows: bool) -> str:
         "                                if ment is None:\n"
         "                                    resolve_install(pkey, lhs_ref, dst, lhs_type, dst)\n"
         "                                else:\n"
+        "                                    strategy.memo_resolve_hits += 1\n"
         "                                    stats.resolve_calls += 1\n"
         "                                    if ment[0]:\n"
         "                                        stats.resolve_struct_calls += 1\n"
@@ -340,6 +346,7 @@ def generate_drain_source(policy: str, windows: bool) -> str:
         "                                if ment is None:\n"
         "                                    resolve_install(pkey, dst, rhs_ref, tau_p, dst)\n"
         "                                else:\n"
+        "                                    strategy.memo_resolve_hits += 1\n"
         "                                    stats.resolve_calls += 1\n"
         "                                    if ment[0]:\n"
         "                                        stats.resolve_struct_calls += 1\n"
@@ -356,6 +363,7 @@ def generate_drain_source(policy: str, windows: bool) -> str:
         "                                if ment is None:\n"
         "                                    lookup_add_bits(lhs_id, pkey, tau_p, path, dst)\n"
         "                                else:\n"
+        "                                    strategy.memo_lookup_hits += 1\n"
         "                                    stats.lookup_calls += 1\n"
         "                                    if ment[1]:\n"
         "                                        stats.lookup_struct_calls += 1\n"
@@ -459,6 +467,7 @@ def dispatch_novel(eng, entry, items) -> None:
     seen = entry[0]
     desc = entry[2]
     stats = eng.stats
+    strategy = eng.strategy
     if desc is None:
         cb = entry[1]
         for did, dst in items:
@@ -477,6 +486,7 @@ def dispatch_novel(eng, entry, items) -> None:
             if ment is None:
                 eng._resolve_install(pkey, lhs_ref, dst, lhs_type, dst)
             else:
+                strategy.memo_resolve_hits += 1
                 stats.resolve_calls += 1
                 if ment[0]:
                     stats.resolve_struct_calls += 1
@@ -493,6 +503,7 @@ def dispatch_novel(eng, entry, items) -> None:
             if ment is None:
                 eng._resolve_install(pkey, dst, rhs_ref, tau_p, dst)
             else:
+                strategy.memo_resolve_hits += 1
                 stats.resolve_calls += 1
                 if ment[0]:
                     stats.resolve_struct_calls += 1
@@ -512,6 +523,7 @@ def dispatch_novel(eng, entry, items) -> None:
             if ment is None:
                 eng._lookup_add_bits(lhs_id, pkey, tau_p, path, dst)
             else:
+                strategy.memo_lookup_hits += 1
                 stats.lookup_calls += 1
                 if ment[1]:
                     stats.lookup_struct_calls += 1
@@ -525,7 +537,7 @@ def dispatch_novel(eng, entry, items) -> None:
                         enqueue(landed, new)
     else:  # kind == 6: pointer arithmetic, optimistic mode
         lhs_id = desc[1]
-        arith_refs = eng.strategy.arith_refs
+        arith_refs = strategy.arith_refs
         refs_bits_get = eng._refs_bits.get
         facts = eng.facts
         account = eng._account

@@ -93,7 +93,7 @@ from ..ir.stmts import (
     Stmt,
     Store,
 )
-from .engine import Engine, Result
+from .engine import Engine, Result, no_cyclic_gc
 from .rules import setup_stmt
 from .strategy import Strategy
 from .worklist import Worklist
@@ -315,68 +315,70 @@ def solve_demand(
 
     # Round until nothing changes: process newly demanded objects, then
     # the dynamic conditions (which read points-to sets), then drain.
-    while True:
-        changed = False
-        while frontier and not widen:
-            obj = frontier.pop()
-            changed = True
-            if (obj in escapes or obj.name.endswith("::$havoc")
-                    or obj.name == "<unknown>"):
-                widen = True
-                break
-            for st in writers.get(obj, ()):
-                try_install(st)
-        if widen:
-            break
-        # Dynamic conditions, re-evaluated against the current sets.
-        for st in stores:
-            if id(st) not in installed and any(
-                t in demanded for t in pointee_objs(st.ptr)
-            ):
-                install(st)
-                demand(st.rhs)
+    # The cyclic collector stays paused throughout (see no_cyclic_gc).
+    with no_cyclic_gc():
+        while True:
+            changed = False
+            while frontier and not widen:
+                obj = frontier.pop()
                 changed = True
-        for st in dyn_loads:
-            for t in pointee_objs(st.ptr):
-                if t not in demanded:
-                    demand(t)
+                if (obj in escapes or obj.name.endswith("::$havoc")
+                        or obj.name == "<unknown>"):
+                    widen = True
+                    break
+                for st in writers.get(obj, ()):
+                    try_install(st)
+            if widen:
+                break
+            # Dynamic conditions, re-evaluated against the current sets.
+            for st in stores:
+                if id(st) not in installed and any(
+                    t in demanded for t in pointee_objs(st.ptr)
+                ):
+                    install(st)
+                    demand(st.rhs)
                     changed = True
-        for st in dyn_externs:
-            for a in st.args:
-                for t in pointee_objs(a):
+            for st in dyn_loads:
+                for t in pointee_objs(st.ptr):
                     if t not in demanded:
                         demand(t)
                         changed = True
-        for call, info in dyn_calls:
-            for i, arg in enumerate(call.args):
-                if i < len(info.params):
-                    if info.params[i] in demanded and arg not in demanded:
-                        demand(arg)
+            for st in dyn_externs:
+                for a in st.args:
+                    for t in pointee_objs(a):
+                        if t not in demanded:
+                            demand(t)
+                            changed = True
+            for call, info in dyn_calls:
+                for i, arg in enumerate(call.args):
+                    if i < len(info.params):
+                        if info.params[i] in demanded and arg not in demanded:
+                            demand(arg)
+                            changed = True
+                    elif info.vararg is not None and info.vararg in demanded:
+                        if arg not in demanded:
+                            demand(arg)
+                            changed = True
+                if call.lhs is not None and info.retval is not None:
+                    if call.lhs in demanded and info.retval not in demanded:
+                        demand(info.retval)
                         changed = True
-                elif info.vararg is not None and info.vararg in demanded:
-                    if arg not in demanded:
-                        demand(arg)
-                        changed = True
-            if call.lhs is not None and info.retval is not None:
-                if call.lhs in demanded and info.retval not in demanded:
-                    demand(info.retval)
-                    changed = True
-        if frontier:
-            continue
-        before = engine.stats.facts
-        engine.drain()
-        if engine.stats.facts != before:
-            changed = True
-        if not changed:
-            break
+            if frontier:
+                continue
+            before = engine.stats.facts
+            engine.drain()
+            if engine.stats.facts != before:
+                changed = True
+            if not changed:
+                break
 
-    if widen:
-        engine.stats.demand_widenings += 1
-        for st in all_stmts:
-            if id(st) not in installed:
-                installed.add(id(st))
-                setup_stmt(engine, st)
-        engine.drain()
+        if widen:
+            engine.stats.demand_widenings += 1
+            for st in all_stmts:
+                if id(st) not in installed:
+                    installed.add(id(st))
+                    setup_stmt(engine, st)
+            engine.drain()
 
     engine._solved = True
     engine.stats.demanded_facts = engine.stats.facts

@@ -26,7 +26,9 @@ instrumented ``lookup``/``resolve`` boundary (Figure-3 counters bump per
 call, memo caches sit below — footnote 7), normalization memos, the
 fact/edge/window installation services the rules call, budget
 accounting, the lazy-cycle-probe trigger, provenance context plumbing
-for traced runs, and the solve/re-solve lifecycle.
+for traced runs, and the solve/re-solve lifecycle — including
+:func:`no_cyclic_gc`, which keeps the cyclic garbage collector out of
+every setup-and-drain loop.
 
 Because rules are installed persistently and de-duplicated, draining the
 worklist reaches exactly the least fixpoint of the paper's inference
@@ -41,8 +43,11 @@ the user-facing facade over that lifecycle.
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..ctype.types import CType
 from ..diag import Diagnostic, DiagnosticSink, Severity
@@ -59,11 +64,52 @@ from .stats import AnalysisBudgetExceeded, EngineStats
 from .strategy import Strategy, Window
 from .worklist import WORKLISTS, Worklist, drain_traced
 
-__all__ = ["AnalysisBudgetExceeded", "EngineStats", "Result", "Engine", "analyze"]
+__all__ = [
+    "AnalysisBudgetExceeded", "EngineStats", "Result", "Engine", "analyze",
+    "no_cyclic_gc",
+]
 
 
 # Callback invoked with each new pointee of a subscribed reference.
 _Callback = Callable[[Ref], None]
+
+_gc_lock = threading.Lock()
+#: Fixpoints currently inside :func:`no_cyclic_gc`, across all threads.
+_gc_depth = 0
+#: Whether the last fixpoint to leave must re-enable the collector.
+_gc_restore = False
+
+
+@contextmanager
+def no_cyclic_gc() -> Iterator[None]:
+    """Keep the automatic cyclic garbage collector out of a fixpoint.
+
+    A setup-and-drain loop allocates millions of small objects (ints,
+    tuples, closures, dict entries) that all stay alive, so every
+    automatic collection during it scans live objects only — a solve
+    creates no cyclic garbage.  Reference counting still frees
+    everything acyclic as usual.
+
+    The collector switch is process-wide, so entries nest and may come
+    from several threads: a lock-protected depth count makes the first
+    entrant disable the collector (only if it was enabled) and the last
+    one to leave restore it, also when the fixpoint raises.  A collector
+    its caller had turned off stays off.
+    """
+    global _gc_depth, _gc_restore
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_restore = gc.isenabled()
+            if _gc_restore:
+                gc.disable()
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if _gc_depth == 0 and _gc_restore:
+                gc.enable()
 
 
 class Engine:
@@ -159,7 +205,7 @@ class Engine:
             # stats (and from there into --profile and metrics JSONL).
             self.stats.tus_linked = link_info.tus_linked
             self.stats.externs_resolved = link_info.externs_resolved
-        #: id(memoized lookup/arith ref list) -> (pinned list, bitset of
+        #: id(memoized arith_refs list) -> (pinned list, bitset of
         #: the refs' interned IDs) — the batched-add cache behind
         #: :meth:`_add_refs_bits`.
         self._refs_bits: Dict[int, Tuple[object, int]] = {}
@@ -303,9 +349,10 @@ class Engine:
         An engine-level memo keyed ``prefix | target-id`` holds the
         interned bitset of the lookup result together with the
         ``CallInfo`` flags, so a recurrence costs one int-keyed dict
-        probe instead of the ``cached_lookup`` probe plus the
-        :meth:`_add_refs_bits` probe — while the Figure-3 counters bump
-        exactly as one ``lookup`` call, hit or miss.
+        probe — while the Figure-3 counters bump exactly as one
+        ``lookup`` call, hit or miss.  It is the only memo on this path:
+        a miss computes ``strategy.lookup`` directly, and the strategy's
+        memo counters record which of the two answered.
         """
         facts = self.facts
         try:
@@ -315,13 +362,17 @@ class Engine:
         key = pkey | tid if tid < 2097152 else (pkey, tid)
         ent = self._lookup_bits.get(key)
         if ent is None:
-            refs, info = self.strategy.cached_lookup(tau, alpha, target)
+            strategy = self.strategy
+            strategy.memo_lookup_misses += 1
+            refs, info = strategy.lookup(tau, alpha, target)
             bits = 0
             intern = facts.intern
             for r in refs:
                 bits |= 1 << intern(r)
             ent = (bits, info.involved_struct, info.mismatch)
             self._lookup_bits[key] = ent
+        else:
+            self.strategy.memo_lookup_hits += 1
         stats = self.stats
         stats.lookup_calls += 1
         if ent[1]:
@@ -341,13 +392,13 @@ class Engine:
         (rules 4/5, untraced).
 
         Once a ``(dst, src, τ)`` triple's resolve result is installed,
-        re-resolving it is a guaranteed no-op (results are memoized and
+        re-resolving it is a guaranteed no-op (``resolve`` is pure and
         installation is persistent), so a recurrence only needs to bump
         the Figure-3 counters from the memoized ``CallInfo`` flags —
         one int-keyed dict probe (``prefix | id-of-the-varying-ref``;
-        ``vary`` is whichever of dst/src the subscription supplies)
-        instead of the resolve-memo probe plus the installed-result
-        identity probe.
+        ``vary`` is whichever of dst/src the subscription supplies).
+        It is the only memo on this path: a miss computes
+        ``strategy.resolve`` directly.
         """
         facts = self.facts
         try:
@@ -358,13 +409,16 @@ class Engine:
         ent = self._resolve_done.get(key)
         stats = self.stats
         stats.resolve_calls += 1
+        strategy = self.strategy
         if ent is not None:
+            strategy.memo_resolve_hits += 1
             if ent[0]:
                 stats.resolve_struct_calls += 1
                 if ent[1]:
                     stats.resolve_mismatch_calls += 1
             return
-        res, info = self.strategy.cached_resolve(dst, src, tau)
+        strategy.memo_resolve_misses += 1
+        res, info = strategy.resolve(dst, src, tau)
         self._resolve_done[key] = (info.involved_struct, info.mismatch)
         if info.involved_struct:
             stats.resolve_struct_calls += 1
@@ -377,11 +431,13 @@ class Engine:
         untraced).
 
         These sites fire once per statement / per (call site, callee)
-        pair, so a fused memo would never hit; recurring *triples* are
-        still absorbed by the strategy's resolve memo and the
-        installed-result identity table.
+        pair, so a memo would almost never hit: every call computes
+        ``strategy.resolve``, and a recurring triple re-installs only
+        duplicate edges and windows, which the graph drops.
         """
-        res, info = self.strategy.cached_resolve(dst, src, tau)
+        strategy = self.strategy
+        strategy.memo_resolve_misses += 1
+        res, info = strategy.resolve(dst, src, tau)
         stats = self.stats
         stats.resolve_calls += 1
         if info.involved_struct:
@@ -425,10 +481,10 @@ class Engine:
         return new
 
     def _add_refs_bits(self, dst_id: int, refs) -> None:
-        """Batched fact add for a memoized ``lookup``/``arith_refs`` list.
+        """Batched fact add for a memoized ``arith_refs`` list.
 
-        The strategy layer memoizes those results, so the same list
-        instance recurs for every repetition of a (τ, α, target) query;
+        The strategy memoizes the ref set per outermost object, so the
+        same list instance recurs for every pointee in that object;
         interning it to a bitset once and unioning that bitset per
         recurrence replaces ``len(refs)`` per-fact adds (and their
         worklist enqueues) with a single big-int union.  Identical
@@ -515,14 +571,9 @@ class Engine:
     def install_resolve_result(self, res) -> None:
         """Install resolve output, whichever shape the strategy returned.
 
-        Results come from the strategy's memo tables, so the same list or
-        window object is handed back for every recurrence of a (dst, src,
-        τ) triple; once installed, re-installing it is a guaranteed no-op
-        (edges and windows are persistent and deduplicated), so the whole
-        pass is skipped by object identity.
+        Edges and windows are persistent and deduplicated, so
+        re-installing a result is a no-op that bumps no counter.
         """
-        if self.graph.seen_resolve_result(res):
-            return
         if isinstance(res, Window):
             self.install_window(res)
             return
@@ -670,12 +721,17 @@ class Engine:
         else:
             self.backend.drain(self)
 
+    def _fixpoint(self, stmts: Iterable[Stmt]) -> None:
+        """Install ``stmts`` and drain, with the cyclic collector paused."""
+        with no_cyclic_gc():
+            for st in stmts:
+                setup_stmt(self, st)
+            self.drain()
+
     def solve(self) -> Result:
         """Install every program statement and drain to the least fixpoint."""
         t0 = time.perf_counter()
-        for st in self.program.all_stmts():
-            setup_stmt(self, st)
-        self.drain()
+        self._fixpoint(self.program.all_stmts())
         self._solved = True
         self.stats.solve_seconds = time.perf_counter() - t0
         return Result(
@@ -703,9 +759,7 @@ class Engine:
         stats.incremental_solves += 1
         stats.delta_stmts += len(stmts)
         stats.reused_graph_refs = self.facts.num_refs()
-        for st in stmts:
-            setup_stmt(self, st)
-        self.drain()
+        self._fixpoint(stmts)
         stats.solve_seconds += time.perf_counter() - t0
         return Result(
             self.program, self.strategy, self.facts, stats,

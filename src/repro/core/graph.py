@@ -15,8 +15,10 @@ the store for those structures — the "graph" the solver operates on:
   §4.2.2), held in a per-object interval index;
 - **subscriptions** (the ``pointsTo(p̂, …)`` premises of rules 2/4/5:
   callbacks run once per distinct pointee);
-- the identity table de-duplicating installed ``resolve`` results and
-  the probe memo for lazy cycle detection.
+- the probe memo for lazy cycle detection.
+
+Edges and windows are deduplicated on insertion, so installing the same
+``resolve`` result twice is a no-op.
 
 The graph is deliberately *passive*: it stores, de-duplicates, and
 answers structural queries (including the cycle-collapse merge), but it
@@ -119,7 +121,7 @@ class ConstraintGraph:
         "window_set",
         "subs",
         "lcd_done",
-        "installed_res",
+        "compacted_len",
     )
 
     def __init__(self, facts: Optional[FactBase] = None) -> None:
@@ -145,9 +147,9 @@ class ConstraintGraph:
         self.subs: Dict[int, List[_Subscription]] = {}
         #: Lazy cycle detection: (src_rep, dst_rep) pairs already probed.
         self.lcd_done: Set[Tuple[int, int]] = set()
-        #: Resolve results already installed, by identity (value pins the
-        #: result object so its id cannot be reused).
-        self.installed_res: Dict[int, object] = {}
+        #: Representative -> length of its ``copy_adj`` list right after
+        #: the last compaction in :meth:`merge_classes`.
+        self.compacted_len: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Copy edges.
@@ -188,24 +190,10 @@ class ConstraintGraph:
         return True
 
     # ------------------------------------------------------------------
-    # Subscriptions and resolve-result identity.
+    # Subscriptions.
     # ------------------------------------------------------------------
     def add_subscriber(self, rep: int, entry: _Subscription) -> None:
         self.subs.setdefault(rep, []).append(entry)
-
-    def seen_resolve_result(self, res: object) -> bool:
-        """Mark a ``resolve`` result installed; True if it already was.
-
-        Results come from the strategy's memo tables, so the same list or
-        window object is handed back for every recurrence of a (dst, src,
-        τ) triple; the entry pins ``res`` against id reuse.
-        """
-        key = id(res)
-        installed = self.installed_res
-        if key in installed:
-            return True
-        installed[key] = res
-        return False
 
     # ------------------------------------------------------------------
     # Online cycle collapsing (lazy cycle detection + union-find).
@@ -288,6 +276,7 @@ class ConstraintGraph:
         """
         facts = self.facts
         adj = self.copy_adj
+        compacted = self.compacted_len
         subs = self.subs
         root = nodes[0]
         merged_any = False
@@ -301,20 +290,27 @@ class ConstraintGraph:
             if gain:
                 account(gain)
             dead_adj = adj.pop(dead, None)
+            dead_len = compacted.pop(dead, None)
             if dead_adj:
                 live = adj.get(rep)
                 if live is None:
                     adj[rep] = dead_adj
+                    if dead_len is not None:
+                        compacted[rep] = dead_len
                 else:
                     live.extend(dead_adj)
-                    if len(live) >= 16:
+                    if len(live) >= max(16, 2 * compacted.get(rep, 0)):
                         # Compact: a merge turns edges into the absorbed
                         # class into self-edges, and distinct targets may
                         # now share a representative.  Keep one raw ID per
                         # live target class so the drains and the LCD DFS
                         # stop rescanning dead entries.  (Dropping an ID
                         # only forgets its difference-propagation frontier
-                        # — a resend is a points-to no-op.)
+                        # — a resend is a points-to no-op.)  Only a list
+                        # that has doubled since its last compaction is
+                        # re-filtered, so the work stays linear in the
+                        # entries appended; the drains skip the dead
+                        # entries in between (``props_saved``).
                         find = facts.find
                         kept_reps = set()
                         compact = []
@@ -325,6 +321,7 @@ class ConstraintGraph:
                             kept_reps.add(rt)
                             compact.append(tid)
                         adj[rep] = compact
+                        compacted[rep] = len(compact)
             dead_subs = subs.pop(dead, None)
             if dead_subs:
                 live_subs = subs.get(rep)

@@ -48,7 +48,7 @@ from ..diag import Diagnostic, DiagnosticSink, Severity
 from ..ir.program import Program
 from ..ir.refs import FieldRef, OffsetRef, Ref
 from ..ir.stmts import AddrOf, Call, Copy, Stmt
-from .engine import Engine, Result
+from .engine import Engine, Result, no_cyclic_gc
 from .rules import setup_stmt
 from .strategy import Strategy
 from .worklist import Worklist
@@ -331,14 +331,15 @@ def _worker_solve(
         assume_valid_pointers=_WORKER["assume_valid"],  # type: ignore[arg-type]
     )
     _seed_specs(engine, seeds)
-    for st in program.global_stmts:
-        setup_stmt(engine, st)
-    for fn in fn_names:
-        info = program.functions.get(fn)
-        if info is not None:
-            for st in info.stmts:
-                setup_stmt(engine, st)
-    engine.drain()
+    with no_cyclic_gc():
+        for st in program.global_stmts:
+            setup_stmt(engine, st)
+        for fn in fn_names:
+            info = program.functions.get(fn)
+            if info is not None:
+                for st in info.stmts:
+                    setup_stmt(engine, st)
+        engine.drain()
     return _facts_as_specs(engine)
 
 
@@ -470,17 +471,18 @@ def solve_modular(
     # Staged bottom-up install: global initializers, then each SCC level,
     # draining between levels.  Monotone rules => least fixpoint of the
     # full statement set, identical to Engine.solve().
-    for st in program.global_stmts:
-        setup_stmt(engine, st)
-    engine.drain()
     level_of_scc: Dict[int, int] = {}
-    for lvl, level in enumerate(schedule.levels):
-        for scc_idx in level:
-            level_of_scc[scc_idx] = lvl
-            for fn in schedule.sccs[scc_idx]:
-                for st in program.functions[fn].stmts:
-                    setup_stmt(engine, st)
+    with no_cyclic_gc():
+        for st in program.global_stmts:
+            setup_stmt(engine, st)
         engine.drain()
+        for lvl, level in enumerate(schedule.levels):
+            for scc_idx in level:
+                level_of_scc[scc_idx] = lvl
+                for fn in schedule.sccs[scc_idx]:
+                    for st in program.functions[fn].stmts:
+                        setup_stmt(engine, st)
+            engine.drain()
     engine._solved = True
 
     summaries = _summarize(engine, program, schedule, level_of_scc)

@@ -100,7 +100,9 @@ class Strategy(abc.ABC):
         self.layout = layout or Layout()
         #: Named memo tables (see memo_table), owned by this instance.
         self._memo_tables: Dict[str, dict] = {}
-        # Memo tables for cached_lookup/cached_resolve.  Cache keys use
+        # Memo tables for cached_lookup/cached_resolve (traced solves,
+        # the reference solver and provenance rendering; an untraced
+        # engine asks its own fused memos instead).  Cache keys use
         # id(τ) and id(ref) — an int-tuple hash instead of structural
         # hashing; sound because refs reaching the engine's hot path are
         # canonical instances (see canon_ref) and every entry's value
@@ -112,8 +114,11 @@ class Strategy(abc.ABC):
         self._canon_refs: dict = self.memo_table("canon")
         # Memo for cached_all_refs; keyed id(obj), value pins the object.
         self._all_refs_cache: dict = self.memo_table("all_refs")
-        # Memo instrumentation for the cached_* entry points (surfaced by
-        # repro.obs.metrics).  Deliberately *not* part of EngineStats:
+        # Memo instrumentation (surfaced by repro.obs.metrics): each
+        # counts the memo that answered — these tables for the cached_*
+        # entry points, the engine's fused lookup/resolve memos on an
+        # untraced solve, where a strategy.lookup/resolve computation
+        # counts as a miss.  Deliberately *not* part of EngineStats:
         # hit rates depend on what this instance solved before — they
         # are observability data, not gateable analysis results.
         self.memo_lookup_hits: int = 0
@@ -147,7 +152,7 @@ class Strategy(abc.ABC):
         return c
 
     # ------------------------------------------------------------------
-    # Memoized entry points (used by the engine's hot path).
+    # Memoized entry points (traced solves, reference solver, provenance).
     # ------------------------------------------------------------------
     def cached_lookup(
         self, tau: CType, alpha: Sequence[str], target: Ref

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import (
@@ -11,6 +13,18 @@ from repro import (
     Offsets,
     analyze_c,
 )
+
+
+@pytest.fixture(autouse=True)
+def _collector_state_unchanged():
+    """Fail any test that leaves the cyclic collector switched differently
+    from how it found it (e.g. a fixpoint guard that leaks its pause)."""
+    before = gc.isenabled()
+    yield
+    after = gc.isenabled()
+    if after != before:
+        (gc.enable if before else gc.disable)()
+        pytest.fail(f"gc.isenabled() went from {before} to {after}")
 
 
 def pts(result, name):

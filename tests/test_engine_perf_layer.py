@@ -1,10 +1,13 @@
 """Tests for the delta-driven engine's performance layer: incremental
 fact counting, allocation-free views, the window interval index, the
 memoized strategy layer (and its Figure-3 invariant), EngineStats
-serialization/merging, analysis-budget behaviour on real programs, and
-the parallel bench harness."""
+serialization/merging, analysis-budget behaviour on real programs, the
+parallel bench harness, amortized class-merge compaction, the single
+memo per question on the untraced path, and the cyclic-collector guard
+around every fixpoint."""
 
 import gc
+import threading
 import weakref
 
 import pytest
@@ -16,8 +19,11 @@ from repro.core.engine import (
     Engine,
     EngineStats,
     _WindowIndex,
+    no_cyclic_gc,
 )
 from repro.core.facts import FactBase
+from repro.core.graph import ConstraintGraph
+from repro.core.worklist import PriorityWorklist
 from repro.ctype.types import int_t, ptr
 from repro.frontend import program_from_c
 from repro.ir.objects import ObjectFactory
@@ -446,3 +452,267 @@ class TestCycleCollapsing:
         prog = program_from_c(CYCLE_SRC)
         res = analyze(prog, STRATEGY_BY_KEY["common_initial_sequence"]())
         assert res.stats.props_saved > 0
+
+
+# ---------------------------------------------------------------------------
+# Amortized adjacency compaction in merge_classes.
+# ---------------------------------------------------------------------------
+
+
+class _CountingFactBase(FactBase):
+    """A fact base that counts ``find`` calls while ``budget`` is set and
+    fails as soon as they exceed it (so quadratic work fails fast)."""
+
+    def __init__(self):
+        super().__init__()
+        self.finds = 0
+        self.budget = None
+
+    def find(self, rid):
+        if self.budget is not None:
+            self.finds += 1
+            assert self.finds <= self.budget, (
+                f"merge_classes made more than {self.budget} find calls")
+        return super().find(rid)
+
+
+def test_merge_compaction_is_linear_in_appended_entries():
+    """Merging 2000 classes of 16 out-edges each into one root, one at a
+    time, re-filters the root's adjacency only when it has doubled: the
+    find calls stay within a constant factor of the entries appended,
+    and the list never holds more than twice the live target classes."""
+    n_classes, fresh_per_class, n_shared = 2000, 4, 6
+    objs = ObjectFactory()
+    facts = _CountingFactBase()
+    graph = ConstraintGraph(facts)
+
+    def node(name):
+        return facts.intern(fr(objs.global_var(name, int_t)))
+
+    shared = [node(f"shared{i}") for i in range(n_shared)]
+    classes = [node(f"c{i}") for i in range(n_classes)]
+    for i, cid in enumerate(classes):
+        # 4 fresh targets, 6 shared ones (duplicates once merged) and 6
+        # edges back into the root (self-edges once merged): 16 per class.
+        fresh = [node(f"t{i}_{k}") for k in range(fresh_per_class)]
+        graph.copy_adj[cid] = fresh + shared + [classes[0]] * 6
+    appended = 16 * (n_classes - 1)
+    facts.budget = 8 * appended
+    wl = PriorityWorklist()
+    for i in range(1, n_classes):
+        assert graph.merge_classes([classes[0], classes[i]], wl, lambda g: None)
+        root = facts.find(classes[0])
+        live_targets = n_shared + fresh_per_class * (i + 1)
+        assert len(graph.copy_adj[root]) <= 2 * max(16, live_targets)
+    facts.budget = None
+    root = facts.find(classes[0])
+    live = {facts.find(t) for t in graph.copy_adj[root]} - {root}
+    assert len(live) == n_shared + fresh_per_class * n_classes
+
+
+# ---------------------------------------------------------------------------
+# One memo per question on the untraced path.
+# ---------------------------------------------------------------------------
+
+# Two stores of the same struct through two pointers to the same target:
+# the second rule-5 firing recurs the first's (dst, src, τ) — one struct
+# type object, one rhs variable, one pointee.
+RECURRING_STORE_SRC = """
+struct pair { int *a; int *b; };
+struct pair s, t;
+struct pair *p, *q;
+int x, y;
+void main(void) {
+    t.a = &x;
+    t.b = &y;
+    p = &s;
+    q = &s;
+    *p = t;
+    *q = t;
+    t = *p;
+}
+"""
+
+
+class _CountingHits(dict):
+    """The engine's fused resolve memo, counting probes that hit."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if value is not None:
+            self.hits += 1
+        return value
+
+
+class TestUntracedMemoLayers:
+    @pytest.mark.parametrize("cls", ALL_STRATEGIES, ids=lambda c: c.key)
+    def test_untraced_solve_leaves_strategy_tables_empty(self, cls):
+        strategy = cls()
+        analyze(program_from_c(SRC), strategy)
+        analyze(program_from_c(RECURRING_STORE_SRC), strategy)
+        assert strategy.memo_table("lookup") == {}
+        assert strategy.memo_table("resolve") == {}
+
+    @pytest.mark.parametrize("backend", ["bigint", "codegen"])
+    def test_resolve_hits_count_fused_memo_hits(self, backend):
+        strategy = STRATEGY_BY_KEY["common_initial_sequence"]()
+        engine = Engine(program_from_c(RECURRING_STORE_SRC), strategy,
+                        backend=backend)
+        engine._resolve_done = _CountingHits()
+        stats = engine.solve().stats
+        assert engine._resolve_done.hits > 0
+        assert strategy.memo_resolve_hits == engine._resolve_done.hits
+        # Every Figure-3 call was answered by exactly one memo or one
+        # strategy computation.
+        assert (strategy.memo_resolve_hits + strategy.memo_resolve_misses
+                == stats.resolve_calls)
+        assert (strategy.memo_lookup_hits + strategy.memo_lookup_misses
+                == stats.lookup_calls)
+
+    def test_traced_solve_fills_and_hits_strategy_tables(self):
+        strategy = STRATEGY_BY_KEY["common_initial_sequence"]()
+        Engine(program_from_c(RECURRING_STORE_SRC), strategy, trace=True).solve()
+        assert strategy.memo_table("resolve")
+        assert strategy.memo_resolve_hits > 0
+
+
+# ---------------------------------------------------------------------------
+# No automatic cyclic collection inside a fixpoint.
+# ---------------------------------------------------------------------------
+
+
+class _GcProbe(STRATEGY_BY_KEY["common_initial_sequence"]):
+    """Records the collector's state each time ``resolve`` runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.gc_states = set()
+
+    def resolve(self, dst, src, tau):
+        self.gc_states.add(gc.isenabled())
+        return super().resolve(dst, src, tau)
+
+
+@pytest.fixture
+def gc_enabled():
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if not was:
+        gc.disable()
+
+
+@pytest.fixture
+def gc_disabled():
+    was = gc.isenabled()
+    gc.disable()
+    yield
+    if was:
+        gc.enable()
+
+
+class TestNoCyclicGcInFixpoint:
+    def test_no_automatic_pass_during_a_large_solve(self, gc_enabled):
+        program = program_from_c(
+            generate_program(3, GenConfig(n_statements=2000)), name="gen")
+        engine = Engine(program, STRATEGY_BY_KEY["common_initial_sequence"]())
+        solving = [True]
+        passes = []
+        drain = engine.drain
+
+        def drain_then_stop():
+            drain()
+            # The first allocation after the guard re-enables the
+            # collector may run the pass it deferred: count only the
+            # setup and the drain.
+            solving[0] = False
+
+        def hook(phase, info):
+            if phase == "start" and solving[0]:
+                passes.append(info["generation"])
+
+        engine.drain = drain_then_stop
+        gc.callbacks.append(hook)
+        try:
+            engine.solve()
+        finally:
+            gc.callbacks.remove(hook)
+        assert engine.stats.facts > 1000
+        assert passes == []
+
+    def test_enabled_collector_is_paused_then_restored(self, gc_enabled):
+        strategy = _GcProbe()
+        analyze(program_from_c(SRC), strategy)
+        assert strategy.gc_states == {False}
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, gc_disabled):
+        strategy = _GcProbe()
+        analyze(program_from_c(SRC), strategy)
+        assert strategy.gc_states == {False}
+        assert not gc.isenabled()
+
+    def test_restored_after_budget_exceeded(self, gc_enabled):
+        engine = Engine(program_from_c(SRC), _GcProbe(), max_facts=1)
+        with pytest.raises(AnalysisBudgetExceeded):
+            engine.solve()
+        assert gc.isenabled()
+
+    def test_add_statements_pauses_and_restores(self, gc_enabled):
+        program = program_from_c(RECURRING_STORE_SRC)
+        body = program.functions["main"].stmts
+        held = body[len(body) // 2:]
+        del body[len(body) // 2:]
+        strategy = _GcProbe()
+        session = AnalysisSession(program)
+        session.solve(strategy)
+        strategy.gc_states.clear()
+        session.add_statements(held, function="main")
+        assert strategy.gc_states == {False}
+        assert gc.isenabled()
+
+    def test_concurrent_solves_restore_once_both_finish(self, gc_enabled):
+        program = program_from_c(
+            generate_program(5, GenConfig(n_statements=400)), name="gen")
+        start = threading.Barrier(2)
+        errors = []
+
+        def solve():
+            try:
+                start.wait()
+                for cls in ALL_STRATEGIES:
+                    analyze(program, cls())
+            except Exception as err:  # pragma: no cover - reported below
+                errors.append(err)
+
+        threads = [threading.Thread(target=solve) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert gc.isenabled()
+
+    def test_guard_nests_across_threads(self, gc_enabled):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            with no_cyclic_gc():
+                entered.set()
+                release.wait()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert entered.wait(timeout=60)
+            assert not gc.isenabled()
+            with no_cyclic_gc():
+                assert not gc.isenabled()
+            # The other thread is still inside: the collector stays off.
+            assert not gc.isenabled()
+        finally:
+            release.set()
+            holder.join()
+        assert gc.isenabled()
