@@ -131,6 +131,11 @@ class DemandResult:
     installed: int
     #: True when the solve widened to the exhaustive engine.
     widened: bool
+    #: Where the fixpoint came from: ``"demand"`` (a demand solve),
+    #: ``"cache"`` or ``"store"`` (an exhaustive fixpoint the session
+    #: already held or loaded; see
+    #: :meth:`repro.session.AnalysisSession.solve_demand`).
+    source: str = "demand"
 
     @property
     def facts(self):

@@ -19,18 +19,29 @@ handling, so this module provides a deliberately small preprocessor:
 
 The prelude (:data:`PRELUDE`) declares the libc subset the analysis has
 summaries for (:mod:`repro.core.interproc`), plus ``size_t``/``NULL``.
+It is parsed once per process (:func:`prelude_nodes`); every AST
+:func:`parse_c` returns begins with those same node objects, so they are
+read-only — code that edits a top-level node copies it first.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from pycparser import c_ast, c_parser
 
 from ..diag import DiagnosticSink, FrontendError, Severity, SourceLoc
 
-__all__ = ["ParseError", "PreprocessorError", "preprocess", "parse_c", "PRELUDE"]
+__all__ = [
+    "ParseError",
+    "PreprocessorError",
+    "preprocess",
+    "parse_c",
+    "prelude_nodes",
+    "PRELUDE",
+]
 
 
 class PreprocessorError(FrontendError):
@@ -126,6 +137,37 @@ extern FILE *stdout_file(void);
 extern FILE *stderr_file(void);
 extern FILE *_stdin, *_stdout, *_stderr;
 """
+
+
+@functools.cache
+def _prelude() -> Tuple[Tuple[c_ast.Node, ...], str]:
+    """The prelude's top-level nodes and its *scope header*, built once.
+
+    The header declares the same file-scope names as :data:`PRELUDE` —
+    each typedef name as a typedef, every other name as a plain ``int``
+    — in as many top-level declarations.  Parsed in the prelude's
+    place, it leaves pycparser's file scope (which names lex as types)
+    exactly as the prelude would, at a fraction of the parse cost; its
+    nodes are then swapped for the cached ones.
+    """
+    nodes = tuple(c_parser.CParser().parse(PRELUDE, "<prelude>").ext)
+    typedefs = [n.name for n in nodes if isinstance(n, c_ast.Typedef)]
+    names = [n.name for n in nodes if not isinstance(n, c_ast.Typedef)]
+    header = "".join(f"typedef int {t};\n" for t in typedefs)
+    header += f"int {', '.join(names)};\n"
+    return nodes, header
+
+
+def prelude_nodes() -> Tuple[c_ast.Node, ...]:
+    """The top-level nodes of :data:`PRELUDE`, parsed once per process.
+
+    Every AST :func:`parse_c` returns with ``use_prelude=True`` starts
+    with exactly these objects, shared across parses: treat them as
+    read-only (copy before editing, as
+    :func:`~repro.link.split.split_translation_units` does).
+    """
+    return _prelude()[0]
+
 
 _COMMENT_RE = re.compile(
     r"//[^\n]*|/\*.*?\*/", re.DOTALL
@@ -301,9 +343,11 @@ def parse_c(
 ) -> c_ast.FileAST:
     """Preprocess and parse C source text into a pycparser AST.
 
-    When ``use_prelude`` is true (the default), the libc prelude is
-    prepended; a ``#line``-style marker keeps the user code's line numbers
-    intact so diagnostics and IR provenance refer to the original source.
+    When ``use_prelude`` is true (the default), the AST starts with the
+    libc prelude's declarations (:func:`prelude_nodes`, shared and
+    read-only); a ``#line``-style marker keeps the user code's line
+    numbers intact so diagnostics and IR provenance refer to the
+    original source.
 
     Syntax errors raise a structured :class:`ParseError` (with source
     coordinates when pycparser provides them).  With ``strict=False`` a
@@ -316,13 +360,13 @@ def parse_c(
     body = preprocess(
         source, defines, strict=strict, diagnostics=sink, filename=filename
     )
+    text = f'# 1 "{filename}"\n' + body
     if use_prelude:
-        text = PRELUDE + f'\n# 1 "{filename}"\n' + body
-    else:
-        text = f'# 1 "{filename}"\n' + body
+        nodes, header = _prelude()
+        text = header + text
     parser = c_parser.CParser()
     try:
-        return parser.parse(text, filename)
+        ast = parser.parse(text, filename)
     except c_parser.ParseError as exc:
         err = _wrap_pycparser_error(exc, filename)
         if strict:
@@ -332,3 +376,6 @@ def parse_c(
             loc=err.loc, severity=Severity.FATAL, phase="parse",
         )
         return c_ast.FileAST(ext=[])
+    if use_prelude:
+        ast.ext[:len(nodes)] = nodes
+    return ast

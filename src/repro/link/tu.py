@@ -18,13 +18,14 @@ linked analysis byte-identical to analyzing the concatenated source.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from pycparser import c_ast, c_generator
 
 from ..diag import DiagnosticSink, SourceLoc
-from ..frontend.parse import parse_c
+from ..frontend.parse import parse_c, prelude_nodes
 
 __all__ = [
     "TranslationUnit",
@@ -32,8 +33,6 @@ __all__ = [
     "parse_translation_unit",
     "prelude_ext_count",
 ]
-
-_PRELUDE_EXT_COUNT: Optional[int] = None
 
 
 def prelude_ext_count() -> int:
@@ -43,10 +42,7 @@ def prelude_ext_count() -> int:
     these nodes; the linker slices them off all but the first TU so the
     merged declaration stream matches a single concatenated parse.
     """
-    global _PRELUDE_EXT_COUNT
-    if _PRELUDE_EXT_COUNT is None:
-        _PRELUDE_EXT_COUNT = len(parse_c("", filename="<prelude>").ext)
-    return _PRELUDE_EXT_COUNT
+    return len(prelude_nodes())
 
 
 @dataclass
@@ -121,17 +117,15 @@ def _strip_param_names(node: c_ast.Node) -> None:
 
 def _type_text(decl: c_ast.Decl) -> str:
     """Storage-free, parameter-name-free one-line rendering of a
-    declaration's type."""
-    import copy
+    declaration's type.
 
+    Works on a copy, leaving ``decl`` as parsed.  Every parsed
+    declaration renders, so an error here is a bug and propagates.
+    """
     stripped = copy.deepcopy(decl)
     stripped.storage, stripped.init = [], None
     _strip_param_names(stripped)
-    try:
-        text = _GEN.visit(stripped)
-    except Exception:
-        return "<unprintable>"
-    return " ".join(text.split())
+    return " ".join(_GEN.visit(stripped).split())
 
 
 def _loc_of(node: c_ast.Node, filename: str) -> SourceLoc:

@@ -519,9 +519,11 @@ class ServiceApp:
         """Demand-restricted solve for the target-specific query kinds.
 
         Resolves the query's target refs, then asks the session for a
-        demand-driven answer — which may be served from the session's
-        result cache or store, or may widen to the exhaustive engine;
-        every path returns answers equal to the exhaustive fixpoint's.
+        demand-driven answer (:meth:`AnalysisSession.solve_demand`):
+        the session's cached exhaustive result, else the store, else a
+        demand solve, which may widen to the exhaustive engine.  Every
+        path returns answers equal to the exhaustive fixpoint's; the
+        response's ``demand.source`` names the one that answered.
         Whole-program kinds (modref, callgraph, derefs) never take this
         path: they inspect every pointer, so demand buys nothing.
         """
@@ -554,7 +556,10 @@ class ServiceApp:
             "widened": dres.widened,
             "installed": dres.installed,
             "demanded_objects": len(dres.demanded),
-            "demanded_facts": dres.stats.demanded_facts,
+            # The answering fixpoint's facts: the demanded fragment's,
+            # or the whole program's on a cache or store hit.
+            "demanded_facts": dres.stats.facts,
+            "source": dres.source,
         }
         return dres.result, info
 

@@ -128,6 +128,11 @@ class AnalysisSession:
         self._warm_keys: set = set()
         #: Demand-solve memo: (cache key, sorted query reprs) → DemandResult.
         self._demand_cache: Dict[tuple, object] = {}
+        #: Store keys of the current program version, per (strategy
+        #: key, ABI name).  Hashing the program is most of a store
+        #: lookup, and a miss and the ``put`` that follows it share a
+        #: key; :meth:`add_statements` clears the table.
+        self._store_keys: Dict[Tuple[str, str], str] = {}
         #: Times :meth:`solve` returned a cached :class:`Result` instead
         #: of constructing an engine — the service's "solve-cache hits"
         #: counter (``GET /metrics``), but meaningful for any embedder.
@@ -275,11 +280,7 @@ class AnalysisSession:
         self._engines[key] = engine
         self._results[key] = result
         if self.store is not None and not trace:
-            self.store.put(
-                self.program, result, strict=self.strict,
-                assume_valid_pointers=self.assume_valid_pointers,
-                diagnostics=self.diagnostics,
-            )
+            self._persist(result)
         return result
 
     def solve_modular(
@@ -317,17 +318,35 @@ class AnalysisSession:
         if self.store is not None:
             # Persist the fixpoint together with the per-function
             # summaries, so a later warm start recovers both.
-            self.store.put(
-                self.program, mres.result, strict=self.strict,
-                assume_valid_pointers=self.assume_valid_pointers,
-                summaries=list(mres.summaries.values()),
-                diagnostics=self.diagnostics,
-            )
+            self._persist(mres.result, list(mres.summaries.values()))
         return mres
 
     # ------------------------------------------------------------------
     # Demand-driven querying and the content-addressed store.
     # ------------------------------------------------------------------
+    def _store_key(self, strategy: Strategy) -> str:
+        """:func:`repro.store.store_key` of ``strategy`` over the current
+        program version, hashed once per (strategy, ABI)."""
+        skey = (strategy.key, strategy.layout.abi.name)
+        key = self._store_keys.get(skey)
+        if key is None:
+            from .store import store_key
+
+            key = self._store_keys[skey] = store_key(
+                self.program, strategy, strict=self.strict,
+                assume_valid_pointers=self.assume_valid_pointers,
+            )
+        return key
+
+    def _persist(self, result: Result, summaries=None) -> None:
+        """Write ``result`` (and modular ``summaries``) to the store."""
+        self.store.put(
+            self.program, result, strict=self.strict,
+            assume_valid_pointers=self.assume_valid_pointers,
+            summaries=summaries, diagnostics=self.diagnostics,
+            key=self._store_key(result.strategy),
+        )
+
     def warm_start(
         self,
         strategy: Strategy,
@@ -356,7 +375,7 @@ class AnalysisSession:
         stored = self.store.load(
             self.program, strategy, strict=self.strict,
             assume_valid_pointers=self.assume_valid_pointers,
-            diagnostics=self.diagnostics,
+            diagnostics=self.diagnostics, key=self._store_key(strategy),
         )
         if stored is None:
             self.store_misses += 1
@@ -373,16 +392,30 @@ class AnalysisSession:
         worklist: Union[str, Worklist] = "priority",
         backend: Union[str, PropagationBackend, None] = None,
     ):
-        """Demand-driven solve (:mod:`repro.core.demand`) of ``queries``.
+        """Answer ``queries`` from finished work, else by a demand solve.
 
         ``queries`` is an iterable of :class:`AbstractObject`s and/or
         refs (see :func:`repro.core.demand.query_refs`).  Returns a
         :class:`~repro.core.demand.DemandResult` whose answers for the
-        queried refs equal the exhaustive fixpoint's.  Memoized per
-        (strategy, backend, query set).  A *widened* demand solve
-        drained every statement, so its result is the exhaustive
-        fixpoint: it is promoted into the result cache and persisted to
-        the store like a full solve.
+        queried refs equal the exhaustive fixpoint's, looked up in this
+        order (its ``source`` says which one answered):
+
+        1. ``"cache"`` — the session's own exhaustive result for this
+           configuration (solved, warm-started, or a widened demand
+           solve); counted in :attr:`solve_cache_hits`;
+        2. ``"demand"`` — an identical earlier demand query, memoized
+           per (strategy, backend, query set); also a cache hit;
+        3. ``"store"`` — the attached store (:meth:`warm_start`), which
+           also caches the loaded fixpoint for later solves;
+        4. ``"demand"`` — a demand-driven solve
+           (:func:`repro.core.demand.solve_demand`).
+
+        A cache or store hit is the exhaustive fixpoint: every
+        non-function object is exact, ``installed`` is the program's
+        statement count and ``widened`` is False.  A *widened* demand
+        solve drained every statement, so its result is the exhaustive
+        fixpoint too: it is promoted into the result cache and persisted
+        to the store like a full solve.
         """
         from .core.demand import query_refs, solve_demand
 
@@ -390,11 +423,18 @@ class AnalysisSession:
             backend = self.backend
         refs = query_refs(self.program, queries)
         key = self._key(strategy, False, worklist, backend)
+        full = self._results.get(key)
+        if full is not None:
+            self.solve_cache_hits += 1
+            return self._exhaustive_answer(full, "cache")
         dkey = (key, tuple(sorted(repr(r) for r in refs)))
         cached = self._demand_cache.get(dkey)
         if cached is not None:
             self.solve_cache_hits += 1
             return cached
+        full = self.warm_start(strategy, worklist=worklist, backend=backend)
+        if full is not None:
+            return self._exhaustive_answer(full, "store")
         dres = solve_demand(
             self.program, strategy, refs,
             max_facts=self.max_facts,
@@ -404,16 +444,28 @@ class AnalysisSession:
         )
         self._demand_cache[dkey] = dres
         if dres.widened:
-            if key not in self._results:
-                self._results[key] = dres.result
-                self._warm_keys.add(key)
+            self._results[key] = dres.result
+            self._warm_keys.add(key)
             if self.store is not None:
-                self.store.put(
-                    self.program, dres.result, strict=self.strict,
-                    assume_valid_pointers=self.assume_valid_pointers,
-                    diagnostics=self.diagnostics,
-                )
+                self._persist(dres.result)
         return dres
+
+    def _exhaustive_answer(self, result: Result, source: str):
+        """A :class:`~repro.core.demand.DemandResult` over an exhaustive
+        fixpoint: everything is installed, every object exact."""
+        from .core.demand import DemandResult
+        from .ir.objects import ObjKind
+
+        return DemandResult(
+            result=result,
+            demanded=frozenset(
+                o for o in self.program.objects.all_objects()
+                if o.kind is not ObjKind.FUNCTION
+            ),
+            installed=self.program.stmt_count(),
+            widened=False,
+            source=source,
+        )
 
     def _resolve_target(self, text: str):
         """Parse ``name`` or ``name.field.path`` into a FieldRef.
@@ -455,10 +507,11 @@ class AnalysisSession:
 
         Resolution order: an already-complete cached result (free) →
         the attached store (warm start, one load) → a demand-driven
-        solve restricted to the targets (``demand=True``, the default)
-        → the exhaustive fixpoint.  Every path returns answers equal to
-        the exhaustive fixpoint's (the demand differential and the
-        store round-trip are both gated in the test suite).
+        solve restricted to the targets (``demand=True``, the default;
+        :meth:`solve_demand`) or the exhaustive fixpoint (:meth:`solve`).
+        Every path returns answers equal to the exhaustive fixpoint's
+        (the demand differential and the store round-trip are both gated
+        in the test suite).
         """
         from .ir.objects import AbstractObject
 
@@ -472,19 +525,13 @@ class AnalysisSession:
                 labeled[t.name] = t
             else:
                 labeled[repr(t)] = t
-        if backend is None:
-            backend = self.backend
-        source = self._results.get(self._key(strategy, False, worklist, backend))
-        if source is None:
-            source = self.warm_start(strategy, worklist=worklist, backend=backend)
-        if source is None:
-            if demand:
-                source = self.solve_demand(
-                    strategy, list(labeled.values()),
-                    worklist=worklist, backend=backend,
-                )
-            else:
-                source = self.solve(strategy, worklist=worklist, backend=backend)
+        if demand:
+            source = self.solve_demand(
+                strategy, list(labeled.values()),
+                worklist=worklist, backend=backend,
+            )
+        else:
+            source = self.solve(strategy, worklist=worklist, backend=backend)
         return {
             label: sorted(repr(r) for r in source.points_to(ref))
             for label, ref in labeled.items()
@@ -597,6 +644,7 @@ class AnalysisSession:
             self._results.pop(key, None)
         self._warm_keys.clear()
         self._demand_cache.clear()
+        self._store_keys.clear()
         for engine in self._engines.values():
             engine.add_statements(added)
         return added

@@ -275,8 +275,14 @@ class ResultStore:
         assume_valid_pointers: bool = True,
         summaries: Optional[List[FunctionSummary]] = None,
         diagnostics: Optional[DiagnosticSink] = None,
+        key: Optional[str] = None,
     ) -> Optional[str]:
         """Persist ``result``; returns the key, or ``None`` if declined.
+
+        ``key``, when given, must be :func:`store_key` of the same
+        arguments — a caller that already hashed this program version
+        (the session does, once per strategy) passes it to skip the
+        rehash.
 
         Declines (without warning — it is expected, not an error) when
         the fact set references objects outside the program's object
@@ -309,10 +315,11 @@ class ResultStore:
                 return None
             grouped.setdefault(s, []).append(d)
         adjacency = [[s, sorted(ds)] for s, ds in sorted(grouped.items())]
-        key = store_key(
-            program, result.strategy, strict=strict,
-            assume_valid_pointers=assume_valid_pointers,
-        )
+        if key is None:
+            key = store_key(
+                program, result.strategy, strict=strict,
+                assume_valid_pointers=assume_valid_pointers,
+            )
         payload = {
             "version": STORE_VERSION,
             "key": key,
@@ -347,16 +354,19 @@ class ResultStore:
         strict: bool = True,
         assume_valid_pointers: bool = True,
         diagnostics: Optional[DiagnosticSink] = None,
+        key: Optional[str] = None,
     ) -> Optional[StoredResult]:
         """Look up the fixpoint for (program, strategy, …); ``None`` on miss.
 
         Corrupted or truncated entries degrade to a miss with a WARNING
-        diagnostic (kind ``store-corrupt``).
+        diagnostic (kind ``store-corrupt``).  ``key`` is a precomputed
+        :func:`store_key`, as for :meth:`put`.
         """
-        key = store_key(
-            program, strategy, strict=strict,
-            assume_valid_pointers=assume_valid_pointers,
-        )
+        if key is None:
+            key = store_key(
+                program, strategy, strict=strict,
+                assume_valid_pointers=assume_valid_pointers,
+            )
         path = self.path_for(key)
         if not path.exists():
             self.misses += 1

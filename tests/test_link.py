@@ -57,6 +57,21 @@ def test_symbol_scan_classifies_linkage():
     assert syms["g"].kind == "function" and syms["g"].extern
 
 
+def test_type_rendering_errors_propagate(monkeypatch):
+    """Rendering a declaration's type for the conflict check has no
+    fallback text: a bug inside it surfaces instead of being hidden."""
+    import repro.link.tu as tu_mod
+    from pycparser import c_generator
+
+    class Broken(c_generator.CGenerator):
+        def visit_Decl(self, n, no_type=False):
+            raise AttributeError("broken renderer")
+
+    monkeypatch.setattr(tu_mod, "_GEN", Broken())
+    with pytest.raises(AttributeError, match="broken renderer"):
+        parse_translation_unit("int f(int x);", name="a.c")
+
+
 # ----------------------------------------------------------------------
 # Extern resolution and tentative folding.
 # ----------------------------------------------------------------------

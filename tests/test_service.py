@@ -507,6 +507,37 @@ class TestDemandQueries:
         assert payload["error"]["kind"] == "unknown-object"
 
 
+class TestDemandSource:
+    """The ``demand`` block names what answered: the session's cached
+    fixpoint, the store, or a demand solve."""
+
+    def test_source_follows_the_lookup_order(self, tmp_path):
+        config = ServiceConfig(pool_size=4, store=str(tmp_path))
+        app = ServiceApp(config)
+        query = {"target": "p", "demand": "1"}
+
+        sid = create(app)["session"]["id"]
+        status, first = app.handle("GET", f"/v1/sessions/{sid}/query", query)
+        assert status == 200 and first["demand"]["source"] == "demand"
+        status, full = app.handle("GET", f"/v1/sessions/{sid}/query",
+                                  {"target": "p"})
+        assert status == 200
+        status, cached = app.handle("GET", f"/v1/sessions/{sid}/query", query)
+        statements = app.handle("GET", f"/v1/sessions/{sid}")[1][
+            "session"]["statements"]
+        demand = cached["demand"]
+        assert demand["source"] == "cache" and not demand["widened"]
+        assert demand["installed"] == statements
+        assert demand["demanded_facts"] >= first["demand"]["demanded_facts"]
+
+        sid2 = create(app)["session"]["id"]
+        status, stored = app.handle("GET", f"/v1/sessions/{sid2}/query", query)
+        assert status == 200 and stored["demand"]["source"] == "store"
+        assert stored["demand"]["installed"] == statements
+        for answer in (first, cached, stored):
+            assert answer["names"] == full["names"]
+
+
 class TestServiceStore:
     def test_sessions_share_the_store_across_processes(self, tmp_path):
         """Simulated restart: a second app over the same store directory

@@ -209,3 +209,114 @@ class TestBackendPinning:
         monkeypatch.setenv(ENV_VAR, "nope")
         with pytest.raises(KeyError):
             AnalysisSession.from_c(SRC)
+
+
+# A separable program: ``p`` needs ``s`` but not ``q``'s statement.
+DEMAND_SRC = """
+struct S { int *s1; int *s2; } s;
+int x, y, z, *p, *q;
+void main(void) { s.s1 = &x; p = s.s1; q = &z; }
+"""
+
+
+def _no_demand_solve(monkeypatch):
+    """Make any call of ``repro.core.demand.solve_demand`` fail."""
+    import repro.core.demand as demand
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_demand ran although the fixpoint was held")
+
+    monkeypatch.setattr(demand, "solve_demand", forbidden)
+
+
+def _answers(result, program):
+    """Every non-function object's points-to names, keyed by name."""
+    from repro.ir.objects import ObjKind
+
+    return {
+        o.name: result.points_to_names(FieldRef(o, ()))
+        for o in program.objects.all_objects()
+        if o.kind is not ObjKind.FUNCTION
+    }
+
+
+class TestSolveDemand:
+    """``AnalysisSession.solve_demand`` answers from finished work first:
+    the session's exhaustive result, then the store, then a demand solve."""
+
+    def test_cached_exhaustive_result_answers(self, monkeypatch):
+        session = AnalysisSession.from_c(DEMAND_SRC)
+        strategy = CommonInitialSequence()
+        full = session.solve(strategy)
+        _no_demand_solve(monkeypatch)
+        hits = session.solve_cache_hits
+        p = _obj(session, "p")
+        dres = session.solve_demand(strategy, [p])
+        assert dres.source == "cache"
+        assert dres.result is full
+        assert session.solve_cache_hits == hits + 1
+        assert not dres.widened
+        assert dres.installed == session.program.stmt_count()
+        assert p in dres.demanded and _obj(session, "q") in dres.demanded
+        assert dres.points_to_names(p) == {"x"}
+
+    def test_store_answers_a_fresh_session(self, tmp_path, monkeypatch):
+        strategy = CommonInitialSequence()
+        cold = AnalysisSession.from_c(DEMAND_SRC, store=str(tmp_path))
+        full = cold.solve(strategy)
+        warm = AnalysisSession.from_c(DEMAND_SRC, store=str(tmp_path))
+        _no_demand_solve(monkeypatch)
+        dres = warm.solve_demand(strategy, [_obj(warm, "p")])
+        assert dres.source == "store"
+        assert warm.store_hits == 1 and warm.store_misses == 0
+        assert not dres.widened
+        assert dres.installed == warm.program.stmt_count()
+        assert _answers(dres.result, warm.program) == _answers(
+            full, cold.program)
+        # The loaded fixpoint is now the session's cached result.
+        hits = warm.solve_cache_hits
+        assert warm.solve(strategy) is dres.result
+        assert warm.solve_cache_hits == hits + 1
+        assert warm.store_hits == 1
+
+    @pytest.mark.parametrize("with_store", [False, True],
+                             ids=["no-store", "empty-store"])
+    def test_demand_solve_without_finished_work(self, tmp_path, with_store):
+        store = str(tmp_path) if with_store else None
+        session = AnalysisSession.from_c(DEMAND_SRC, store=store)
+        p = _obj(session, "p")
+        dres = session.solve_demand(CommonInitialSequence(), [p])
+        assert dres.source == "demand"
+        assert not dres.widened
+        assert dres.installed < session.program.stmt_count()
+        assert dres.points_to_names(p) == {"x"}
+        assert session.solve_cache_hits == 0
+        assert session.store_misses == (1 if with_store else 0)
+        # A repeat of the same query is the memoized demand answer.
+        assert session.solve_demand(CommonInitialSequence(), [p]) is dres
+        assert session.solve_cache_hits == 1
+
+    @pytest.mark.parametrize("first", ["cache", "store", "demand"])
+    def test_answers_follow_growth(self, tmp_path, first):
+        strategy = CommonInitialSequence()
+        if first == "store":
+            AnalysisSession.from_c(DEMAND_SRC, store=str(tmp_path)).solve(
+                strategy)
+        session = AnalysisSession.from_c(
+            DEMAND_SRC, store=str(tmp_path) if first == "store" else None)
+        if first == "cache":
+            session.solve(strategy)
+        p, q, y = _obj(session, "p"), _obj(session, "q"), _obj(session, "y")
+        assert session.solve_demand(strategy, [p]).source == first
+        session.add_statements(
+            [AddrOf(p, FieldRef(y, ())), AddrOf(q, FieldRef(y, ()))],
+            function="main")
+        dres = session.solve_demand(strategy, [p, q])
+        fresh = analyze(session.program, CommonInitialSequence())
+        for obj in (p, q):
+            assert dres.points_to(obj) == fresh.points_to(obj)
+        assert dres.points_to_names(p) == {"x", "y"}
+        if first == "cache":
+            assert dres.source == "cache"
+            assert _answers(dres.result, session.program) == _answers(
+                fresh, session.program)

@@ -158,6 +158,38 @@ def test_session_warm_start_and_dropping_on_growth(tmp_path) -> None:
     assert warm.store_misses >= 1
 
 
+def test_session_hashes_each_program_version_once(tmp_path,
+                                                  monkeypatch) -> None:
+    """A warm-start miss and the put that follows it share one key; a
+    grown program is hashed afresh, and keys match ``store_key``."""
+    import repro.store as store_mod
+
+    calls = []
+
+    def counting_store_key(*args, **kwargs):
+        calls.append(args[1].key)
+        return store_key(*args, **kwargs)
+
+    monkeypatch.setattr(store_mod, "store_key", counting_store_key)
+    session = AnalysisSession.from_c(SRC, store=str(tmp_path))
+    strategy = CommonInitialSequence()
+    session.solve(strategy)                 # miss, solve, put
+    assert session.store_misses == 1
+    assert calls == [strategy.key]
+    key = store_key(session.program, strategy)
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+
+    from repro.ir.stmts import AddrOf
+
+    program = session.program
+    gp, y = program.objects.lookup("gp"), program.objects.lookup("y")
+    session.add_statements([AddrOf(gp, FieldRef(y, ()))], function="main")
+    offsets = Offsets()
+    session.solve(offsets)                  # grown program: miss, put
+    assert calls == [strategy.key, offsets.key]
+    assert (tmp_path / f"{store_key(program, offsets)}.json").exists()
+
+
 def test_put_declines_unstorable_facts(tmp_path) -> None:
     """Facts naming objects outside the program's table (the pessimistic
     ``<unknown>`` sink) cannot be rebuilt by name: put returns None."""

@@ -12,8 +12,9 @@ from inside one interpreter:
 2. **server crash/restart**: a ``python -m repro serve --store DIR``
    instance solves a session, is SIGKILLed (no clean shutdown, no
    in-memory state survives), and a rebooted server over the same
-   directory answers the same query from the store — ``store_hits > 0``
-   in the session document, identical names;
+   directory answers the same query from the store — a ``demand=1``
+   query reports ``demand.source == "store"``, ``store_hits > 0`` in
+   the session document, identical names;
 3. **latency**: an in-process warm start is at least 5x faster than the
    cold solve it replaces (measured on a benchmark where the solve
    dominates; the ratio is asserted with margin for CI-load noise).
@@ -133,6 +134,16 @@ def check_server_restart(store: str) -> None:
     try:
         client = ServiceClient(url)
         sid = client.create_session(SOURCE, name="smoke.c")["session"]["id"]
+        # A demand query is answered from the stored fixpoint, not by a
+        # demand solve.
+        answer = client.query(sid, "points_to", target="p", demand="1")
+        if answer["names"] != cold:
+            fail("server warm demand",
+                 f"p -> {answer['names']} after restart, had {cold}")
+        source = answer.get("demand", {}).get("source")
+        if source != "store":
+            fail("server warm demand",
+                 f"demand.source = {source!r}, expected 'store'")
         warm = client.points_to(sid, "p")["names"]
         if warm != cold:
             fail("server warm", f"p -> {warm} after restart, had {cold}")
@@ -144,7 +155,7 @@ def check_server_restart(store: str) -> None:
         proc.send_signal(signal.SIGTERM)
         proc.communicate(timeout=30)
     print(f"server restart ok: SIGKILL survived, {hits} store hit(s), "
-          f"identical answer {warm}")
+          f"identical answer {warm}, demand query from the store")
 
 
 _PROBE = """\
