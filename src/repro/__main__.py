@@ -20,6 +20,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List
 
@@ -201,12 +202,23 @@ def run_compare(session: AnalysisSession, args) -> None:
     # gets its own solve over the shared Program.
     print(f"{'algorithm':25s} {'time':>9s} {'facts':>8s} {'avg |pts|':>10s}")
     for cls in ALL_STRATEGIES:
-        result = session.solve(cls(_layout(args)))
-        ds = deref_stats(result)
-        print(
-            f"{cls().name:25s} {result.stats.solve_seconds * 1000:7.1f}ms "
-            f"{result.facts.edge_count():8d} {ds.average:10.2f}"
-        )
+        _compare_row(session, cls(_layout(args)))
+
+
+def _compare_row(session: AnalysisSession, strategy) -> None:
+    """Solve, print and release one strategy's ``--compare`` row.
+
+    Releasing the row's engine and result before the next solve keeps
+    one solved engine alive at a time instead of all four; the result
+    dies with this frame.
+    """
+    result = session.solve(strategy)
+    ds = deref_stats(result)
+    print(
+        f"{strategy.name:25s} {result.stats.solve_seconds * 1000:7.1f}ms "
+        f"{result.facts.edge_count():8d} {ds.average:10.2f}"
+    )
+    session.release(strategy)
 
 
 def run_link(argv: List[str]) -> int:
@@ -365,5 +377,34 @@ def main(argv: List[str] = None) -> int:
     return 0
 
 
+def _exit_fast() -> None:
+    """Run :func:`main` as a process and leave without interpreter teardown.
+
+    Tearing down a process that analysed a program frees every object
+    one by one, which costs more than many small analyses themselves.
+    Here the streams are flushed and the process exits with the status
+    ``sys.exit(main())`` would give.  A reader that closed the stdout
+    pipe early ends the process quietly (status 1), with no traceback.
+    Exceptions other than ``SystemExit`` propagate as usual.
+    """
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os._exit(1)
+    if code is None:
+        status = 0
+    elif isinstance(code, int):
+        status = code
+    else:
+        print(code, file=sys.stderr)
+        status = 1
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _exit_fast()

@@ -73,7 +73,6 @@ import os
 from typing import Dict, List, Optional, Protocol, Set, Tuple, Union
 
 from ..ir.refs import OffsetRef
-from .codegen import AccelBackend, CodegenBackend, dispatch_novel
 from .worklist import drain as _bigint_drain
 
 __all__ = [
@@ -81,8 +80,6 @@ __all__ = [
     "BigintBackend",
     "DiffPropBackend",
     "NumpyBackend",
-    "CodegenBackend",
-    "AccelBackend",
     "BACKENDS",
     "DEFAULT_BACKEND",
     "backend_name",
@@ -235,7 +232,7 @@ class DiffPropBackend:
             for did, dst in delta_items:
                 if did not in seen:
                     seen.add(did)
-                    cb(dst)
+                    cb(eng, dst)
 
     # ------------------------------------------------------------------
     def drain(self, eng) -> None:
@@ -487,6 +484,8 @@ class NumpyBackend:
                 pairs.append((rec, send))
         if not pairs:
             return
+        from .codegen import dispatch_novel  # noqa: PLC0415 - see BACKENDS
+
         if len(pairs) >= self.fuse_batch_pairs:
             novels = self._novel_matrix(np, pairs, eng.facts.num_refs())
         else:
@@ -679,14 +678,30 @@ class NumpyBackend:
                 delta[v] = b
 
 
-#: Registry for ``Engine(backend=...)`` / the CLIs.  Each engine gets a
-#: fresh instance (backends hold per-engine frontier/snapshot state).
+def _codegen_backend() -> PropagationBackend:
+    from .codegen import CodegenBackend  # noqa: PLC0415 - see BACKENDS
+
+    return CodegenBackend()
+
+
+def _accel_backend() -> PropagationBackend:
+    from .codegen import AccelBackend  # noqa: PLC0415 - see BACKENDS
+
+    return AccelBackend()
+
+
+#: Registry for ``Engine(backend=...)`` / the CLIs: name -> zero-argument
+#: constructor.  Each engine gets a fresh instance (backends hold
+#: per-engine frontier/snapshot state).  :mod:`repro.core.codegen` is
+#: imported only when one of its backends (or the numpy backend's fused
+#: rounds) first runs, so a process that never selects them never pays
+#: for the import.
 BACKENDS = {
     "bigint": BigintBackend,
     "diffprop": DiffPropBackend,
     "numpy": NumpyBackend,
-    "codegen": CodegenBackend,
-    "accel": AccelBackend,
+    "codegen": _codegen_backend,
+    "accel": _accel_backend,
 }
 
 

@@ -80,8 +80,9 @@ __all__ = [
 #: Bump whenever the drain entrypoint signature, the subscription /
 #: descriptor layout or the counters the drain bumps change; a stale
 #: compiled module is then ignored (fallback to generated Python)
-#: instead of miscomputing.  (2: inline memo hits count on the strategy.)
-ACCEL_API_VERSION = 2
+#: instead of miscomputing.  (2: inline memo hits count on the strategy;
+#: 3: subscription callbacks are called as ``cb(eng, pointee)``.)
+ACCEL_API_VERSION = 3
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +316,7 @@ def generate_drain_source(policy: str, windows: bool) -> str:
         "                        for did, dst in items:\n"
         "                            if did not in seen:\n"
         "                                seen.add(did)\n"
-        "                                cb(dst)\n"
+        "                                cb(eng, dst)\n"
         "                        continue\n"
         "                    kind = desc[0]\n"
         "                    if kind == 4:\n"
@@ -472,7 +473,7 @@ def dispatch_novel(eng, entry, items) -> None:
         cb = entry[1]
         for did, dst in items:
             seen.add(did)
-            cb(dst)
+            cb(eng, dst)
         return
     kind = desc[0]
     if kind == 4:

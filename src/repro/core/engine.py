@@ -70,8 +70,9 @@ __all__ = [
 ]
 
 
-# Callback invoked with each new pointee of a subscribed reference.
-_Callback = Callable[[Ref], None]
+# Callback invoked as ``cb(engine, pointee)`` with each new pointee of a
+# subscribed reference.
+_Callback = Callable[["Engine", Ref], None]
 
 _gc_lock = threading.Lock()
 #: Fixpoints currently inside :func:`no_cyclic_gc`, across all threads.
@@ -356,7 +357,7 @@ class Engine:
         """
         facts = self.facts
         try:
-            tid = target._id if target._fb is facts else facts.intern(target)
+            tid = target._id if target._fb is facts._token else facts.intern(target)
         except AttributeError:
             tid = facts.intern(target)
         key = pkey | tid if tid < 2097152 else (pkey, tid)
@@ -402,7 +403,7 @@ class Engine:
         """
         facts = self.facts
         try:
-            vid = vary._id if vary._fb is facts else facts.intern(vary)
+            vid = vary._id if vary._fb is facts._token else facts.intern(vary)
         except AttributeError:
             vid = facts.intern(vary)
         key = pkey | vid if vid < 2097152 else (pkey, vid)
@@ -587,6 +588,7 @@ class Engine:
         # results, so most pairs are duplicate edges — the inline
         # edge-bitset probe rejects them without a function call.
         facts = self.facts
+        token = facts._token
         graph = self.graph
         intern = facts.intern
         edge_set = graph.edge_set
@@ -601,11 +603,11 @@ class Engine:
             # ``_fb``/``_id`` slots (see FactBase.intern) — two attr
             # loads beat a method call.
             try:
-                sid = src._id if src._fb is facts else intern(src)
+                sid = src._id if src._fb is token else intern(src)
             except AttributeError:
                 sid = intern(src)
             try:
-                did = dst._id if dst._fb is facts else intern(dst)
+                did = dst._id if dst._fb is token else intern(dst)
             except AttributeError:
                 did = intern(dst)
             if sid == did:
@@ -636,7 +638,13 @@ class Engine:
     def subscribe(
         self, ptr_ref: Ref, cb: _Callback, desc: Optional[tuple] = None
     ) -> None:
-        """Run ``cb`` once for each distinct pointee of ``ptr_ref``.
+        """Run ``cb(engine, pointee)`` once for each distinct pointee of
+        ``ptr_ref``.
+
+        The engine is an argument, not something ``cb`` captures: the
+        graph holds every callback for the engine's lifetime, so a
+        captured engine would be a reference cycle (engine → graph →
+        callback → engine) that reference counting can never free.
 
         The subscription is stored as a ``(seen, cb, desc)`` triple; the
         drains perform the once-per-distinct-pointee dedup inline
@@ -659,12 +667,15 @@ class Engine:
         if bits:
             for did, tgt in facts.decode_items(bits):
                 seen.add(did)
-                cb(tgt)
+                cb(self, tgt)
 
     def cross_subscribe(
-        self, a_ref: Ref, b_ref: Ref, fn: Callable[[Ref, Ref], None]
+        self, a_ref: Ref, b_ref: Ref,
+        fn: Callable[["Engine", Ref, Ref], None],
     ) -> None:
-        """Run ``fn(a_tgt, b_tgt)`` for each pair of pointees of two refs.
+        """Run ``fn(engine, a_tgt, b_tgt)`` for each pair of pointees of
+        two refs (the engine is passed, not captured, as in
+        :meth:`subscribe`).
 
         Used by library summaries such as ``memcpy`` (destination ×
         source) and ``qsort`` (comparator × base array).
@@ -672,15 +683,15 @@ class Engine:
         a_seen: list = []
         b_seen: list = []
 
-        def on_a(t: Ref) -> None:
+        def on_a(eng: "Engine", t: Ref) -> None:
             a_seen.append(t)
             for u in list(b_seen):
-                fn(t, u)
+                fn(eng, t, u)
 
-        def on_b(u: Ref) -> None:
+        def on_b(eng: "Engine", u: Ref) -> None:
             b_seen.append(u)
             for t in list(a_seen):
-                fn(t, u)
+                fn(eng, t, u)
 
         self.subscribe(a_ref, on_a)
         self.subscribe(b_ref, on_b)

@@ -67,6 +67,8 @@ class FactBase:
         "_by_obj",
         "_registered",
         "_count",
+        "_token",
+        "__weakref__",
     )
 
     def __init__(self) -> None:
@@ -86,6 +88,11 @@ class FactBase:
         self._registered: List[bool] = []
         #: total logical facts (one per member per set bit); O(1) queries.
         self._count = 0
+        #: This fact base's identity in the refs' ``_fb`` slots (see
+        #: :meth:`intern`).  A plain token rather than ``self``: a ref
+        #: pointing back at the fact base that lists it would be a
+        #: reference cycle, and only the cyclic collector could free it.
+        self._token = object()
 
     # ------------------------------------------------------------------
     # The ID layer (engine hot path).
@@ -97,11 +104,13 @@ class FactBase:
         slots): refs are canonicalized per strategy, so the same instance
         is interned over and over, and two attribute loads beat a dict
         probe (which must hash).  The cache is validated against this
-        fact base — a canonical ref outliving one engine run re-interns
-        cleanly in the next.
+        fact base's :attr:`_token` — a canonical ref outliving one engine
+        run re-interns cleanly in the next, and holds no reference to the
+        fact base that interned it.
         """
+        token = self._token
         try:
-            if ref._fb is self:
+            if ref._fb is token:
                 return ref._id
         except AttributeError:
             pass
@@ -114,7 +123,7 @@ class FactBase:
             self._parent.append(rid)
             self._members.append([rid])
             self._registered.append(False)
-        ref._fb = self
+        ref._fb = token
         ref._id = rid
         return rid
 

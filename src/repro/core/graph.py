@@ -122,6 +122,7 @@ class ConstraintGraph:
         "subs",
         "lcd_done",
         "compacted_len",
+        "__weakref__",
     )
 
     def __init__(self, facts: Optional[FactBase] = None) -> None:

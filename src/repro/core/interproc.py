@@ -5,6 +5,9 @@ the potential pointer assignments in each library function" (§5, using the
 summaries of [WL95]).  We do the same for the libc subset our benchmark
 suite exercises.  A summary is a callback that installs propagation edges
 on the engine when a call to an *undefined* (extern) function is bound.
+The pair callbacks it hands to ``cross_subscribe`` receive the engine as
+their first argument rather than capturing it, so that the engine's
+graph, which holds them, does not hold the engine in a reference cycle.
 
 Allocation functions (``malloc`` and friends) never reach this layer: the
 front end rewrites them into address-of assignments on allocation-site
@@ -62,9 +65,9 @@ def _memcpy(engine: "Engine", call: Call) -> None:
         return
     dst_arg, src_arg = call.args[0], call.args[1]
 
-    def on_pair(d: Ref, s: Ref) -> None:
-        res, _info = engine.strategy.resolve(d, s, d.obj.type)
-        engine.install_resolve_result(res)
+    def on_pair(eng: "Engine", d: Ref, s: Ref) -> None:
+        res, _info = eng.strategy.resolve(d, s, d.obj.type)
+        eng.install_resolve_result(res)
 
     engine.cross_subscribe(engine.norm_obj(dst_arg), engine.norm_obj(src_arg), on_pair)
     if call.lhs is not None:
@@ -78,17 +81,17 @@ def _qsort(engine: "Engine", call: Call) -> None:
         return
     base_arg, cmp_arg = call.args[0], call.args[3]
 
-    def on_pair(f: Ref, t: Ref) -> None:
+    def on_pair(eng: "Engine", f: Ref, t: Ref) -> None:
         from ..ir.objects import ObjKind
 
         if f.obj.kind is not ObjKind.FUNCTION:
             return
-        info = engine.program.function_for_object(f.obj)
+        info = eng.program.function_for_object(f.obj)
         if info is None:
             return
         for param in info.params[:2]:
-            for r in engine.strategy.cached_all_refs(t.obj):
-                engine.add_fact(engine.norm_obj(param), r)
+            for r in eng.strategy.cached_all_refs(t.obj):
+                eng.add_fact(eng.norm_obj(param), r)
 
     engine.cross_subscribe(engine.norm_obj(cmp_arg), engine.norm_obj(base_arg), on_pair)
 
@@ -100,16 +103,16 @@ def _bsearch(engine: "Engine", call: Call) -> None:
         return
     key_arg, base_arg, cmp_arg = call.args[0], call.args[1], call.args[4]
 
-    def on_pair(f: Ref, t: Ref) -> None:
+    def on_pair(eng: "Engine", f: Ref, t: Ref) -> None:
         from ..ir.objects import ObjKind
 
         if f.obj.kind is not ObjKind.FUNCTION:
             return
-        info = engine.program.function_for_object(f.obj)
+        info = eng.program.function_for_object(f.obj)
         if info is None:
             return
         for param, src in zip(info.params[:2], (key_arg, base_arg)):
-            engine.install_copy_edge(engine.norm_obj(src), engine.norm_obj(param))
+            eng.install_copy_edge(eng.norm_obj(src), eng.norm_obj(param))
 
     engine.cross_subscribe(engine.norm_obj(cmp_arg), engine.norm_obj(base_arg), on_pair)
     if call.lhs is not None:

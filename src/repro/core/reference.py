@@ -51,7 +51,7 @@ __all__ = [
 
 _EMPTY: frozenset = frozenset()
 
-_Callback = Callable[[Ref], None]
+_Callback = Callable[..., None]  # cb(engine, pointee)
 
 
 class ReferenceFactBase:
@@ -239,32 +239,33 @@ class ReferenceEngine:
                 self.install_copy_edge(src, dst)
 
     def subscribe(self, ptr_ref: Ref, cb: _Callback) -> None:
+        # Same calling convention as Engine.subscribe: cb(engine, pointee).
         seen: Set[Ref] = set()
 
-        def wrapped(tgt: Ref) -> None:
+        def wrapped(eng, tgt: Ref) -> None:
             if tgt not in seen:
                 seen.add(tgt)
-                cb(tgt)
+                cb(eng, tgt)
 
         self._subs.setdefault(ptr_ref, []).append(wrapped)
         for tgt in tuple(self.facts.points_to_view(ptr_ref)):
-            wrapped(tgt)
+            wrapped(self, tgt)
 
     def cross_subscribe(
-        self, a_ref: Ref, b_ref: Ref, fn: Callable[[Ref, Ref], None]
+        self, a_ref: Ref, b_ref: Ref, fn: Callable[..., None]
     ) -> None:
         a_seen: List[Ref] = []
         b_seen: List[Ref] = []
 
-        def on_a(t: Ref) -> None:
+        def on_a(eng, t: Ref) -> None:
             a_seen.append(t)
             for u in list(b_seen):
-                fn(t, u)
+                fn(eng, t, u)
 
-        def on_b(u: Ref) -> None:
+        def on_b(eng, u: Ref) -> None:
             b_seen.append(u)
             for t in list(a_seen):
-                fn(t, u)
+                fn(eng, t, u)
 
         self.subscribe(a_ref, on_a)
         self.subscribe(b_ref, on_b)
@@ -281,10 +282,11 @@ class ReferenceEngine:
             tau_p = declared_pointee(st.ptr)
             lhs_ref = self.norm_obj(st.lhs)
 
-            def on_pointee(tgt: Ref, tau_p=tau_p, path=st.path, lhs_ref=lhs_ref) -> None:
-                self.stats.rule2_firings += 1
-                for r in self._lookup(tau_p, path, tgt):
-                    self.add_fact(lhs_ref, r)
+            def on_pointee(eng, tgt: Ref, tau_p=tau_p, path=st.path,
+                           lhs_ref=lhs_ref) -> None:
+                eng.stats.rule2_firings += 1
+                for r in eng._lookup(tau_p, path, tgt):
+                    eng.add_fact(lhs_ref, r)
 
             self.subscribe(self.norm_obj(st.ptr), on_pointee)
         elif isinstance(st, Copy):
@@ -295,36 +297,36 @@ class ReferenceEngine:
             lhs_ref = self.norm_obj(st.lhs)
             lhs_type = st.lhs.type
 
-            def on_pointee(tgt: Ref, lhs_ref=lhs_ref, lhs_type=lhs_type) -> None:
-                self.stats.rule4_firings += 1
-                self.install_resolve_result(self._resolve(lhs_ref, tgt, lhs_type))
+            def on_pointee(eng, tgt: Ref, lhs_ref=lhs_ref, lhs_type=lhs_type) -> None:
+                eng.stats.rule4_firings += 1
+                eng.install_resolve_result(eng._resolve(lhs_ref, tgt, lhs_type))
 
             self.subscribe(self.norm_obj(st.ptr), on_pointee)
         elif isinstance(st, Store):
             tau_p = declared_pointee(st.ptr)
             rhs_ref = self.norm_obj(st.rhs)
 
-            def on_pointee(tgt: Ref, tau_p=tau_p, rhs_ref=rhs_ref) -> None:
-                self.stats.rule5_firings += 1
-                self.install_resolve_result(self._resolve(tgt, rhs_ref, tau_p))
+            def on_pointee(eng, tgt: Ref, tau_p=tau_p, rhs_ref=rhs_ref) -> None:
+                eng.stats.rule5_firings += 1
+                eng.install_resolve_result(eng._resolve(tgt, rhs_ref, tau_p))
 
             self.subscribe(self.norm_obj(st.ptr), on_pointee)
         elif isinstance(st, PtrArith):
             lhs_ref = self.norm_obj(st.lhs)
             for op in st.operands:
-                def on_pointee(tgt: Ref, lhs_ref=lhs_ref) -> None:
-                    if not self.assume_valid_pointers:
-                        self.add_fact(lhs_ref, self.unknown_ref())
+                def on_pointee(eng, tgt: Ref, lhs_ref=lhs_ref) -> None:
+                    if not eng.assume_valid_pointers:
+                        eng.add_fact(lhs_ref, eng.unknown_ref())
                         return
-                    for r in self.strategy.arith_refs(tgt):
-                        self.add_fact(lhs_ref, r)
+                    for r in eng.strategy.arith_refs(tgt):
+                        eng.add_fact(lhs_ref, r)
 
                 self.subscribe(self.norm_obj(op), on_pointee)
         elif isinstance(st, Call):
             if st.indirect:
-                def on_pointee(tgt: Ref, st=st) -> None:
-                    if tgt.obj.kind is ObjKind.FUNCTION and self._is_object_start(tgt):
-                        self._bind_call(st, tgt.obj)
+                def on_pointee(eng, tgt: Ref, st=st) -> None:
+                    if tgt.obj.kind is ObjKind.FUNCTION and eng._is_object_start(tgt):
+                        eng._bind_call(st, tgt.obj)
 
                 self.subscribe(self.norm_obj(st.callee), on_pointee)
             else:
@@ -394,7 +396,7 @@ class ReferenceEngine:
             if cbs:
                 for cb in cbs:
                     for dst in delta:
-                        cb(dst)
+                        cb(self, dst)
 
     def solve(self) -> Result:
         t0 = time.perf_counter()

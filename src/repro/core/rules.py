@@ -15,7 +15,11 @@ per statement and installs the rule as persistent structure in the
   per distinct pointee, performs the ``lookup``/``resolve``, and
   installs the consequences.  The drain loops in
   :mod:`repro.core.worklist` (traced and untraced alike) re-enter these
-  same closures — the rule logic exists exactly once.  Each such
+  same closures — the rule logic exists exactly once.  A closure
+  receives the engine as its first argument from whichever drain
+  delivers the pointee and never captures it: the graph holds the
+  closures, so a captured engine would make a reference cycle that only
+  the cyclic collector could free.  Each such
   subscription additionally carries a *descriptor* — a small tuple
   naming the rule case and its closure-fixed operands — that the
   specialized drains (:mod:`repro.core.codegen`, the numpy backend's
@@ -90,7 +94,7 @@ def setup_fieldaddr(eng, st: FieldAddr) -> None:
     pkey = eng._fused_key("L", tau_p, st.path, None)
 
     def on_pointee(
-        tgt: Ref, tau_p=tau_p, path=st.path, lhs_id=lhs_id,
+        eng, tgt: Ref, tau_p=tau_p, path=st.path, lhs_id=lhs_id,
         ptr_id=ptr_id, pkey=pkey, st=st,
     ) -> None:
         eng.stats.rule2_firings += 1
@@ -135,7 +139,7 @@ def setup_load(eng, st: Load) -> None:
     pkey = eng._fused_key("Rd", lhs_type, id(lhs_ref), lhs_ref)
 
     def on_pointee(
-        tgt: Ref, lhs_ref=lhs_ref, lhs_type=lhs_type,
+        eng, tgt: Ref, lhs_ref=lhs_ref, lhs_type=lhs_type,
         ptr_id=ptr_id, pkey=pkey, st=st,
     ) -> None:
         eng.stats.rule4_firings += 1
@@ -161,7 +165,7 @@ def setup_store(eng, st: Store) -> None:
     pkey = eng._fused_key("Rs", tau_p, id(rhs_ref), rhs_ref)
 
     def on_pointee(
-        tgt: Ref, tau_p=tau_p, rhs_ref=rhs_ref, ptr_id=ptr_id,
+        eng, tgt: Ref, tau_p=tau_p, rhs_ref=rhs_ref, ptr_id=ptr_id,
         pkey=pkey, st=st,
     ) -> None:
         eng.stats.rule5_firings += 1
@@ -187,7 +191,9 @@ def setup_ptr_arith(eng, st: PtrArith) -> None:
         op_ref = eng.norm_obj(op)
         op_id = eng.facts.intern(op_ref)
 
-        def on_pointee(tgt: Ref, lhs_id=lhs_id, op_id=op_id, st=st) -> None:
+        def on_pointee(
+            eng, tgt: Ref, lhs_id=lhs_id, op_id=op_id, st=st,
+        ) -> None:
             intern = eng.facts.intern
             add = eng._add_fact_ids
             if eng.tracer is not None:
@@ -220,7 +226,7 @@ def setup_call(eng, st: Call) -> None:
     """Calls: direct binding, or a subscription on the function pointer
     that binds each function object it may point to (at offset 0)."""
     if st.indirect:
-        def on_pointee(tgt: Ref, st=st) -> None:
+        def on_pointee(eng, tgt: Ref, st=st) -> None:
             if tgt.obj.kind is ObjKind.FUNCTION and is_object_start(tgt):
                 bind_call(eng, st, tgt.obj)
 

@@ -243,7 +243,7 @@ def drain(eng) -> None:
                 for did, dst in delta_items:
                     if did not in seen:
                         seen.add(did)
-                        cb(dst)
+                        cb(eng, dst)
 
 
 def drain_traced(eng) -> None:
@@ -310,4 +310,4 @@ def drain_traced(eng) -> None:
                 for did, dst in delta_items:
                     if did not in seen:
                         seen.add(did)
-                        cb(dst)
+                        cb(eng, dst)

@@ -38,8 +38,10 @@ class FieldRef:
 
     The ``_fb``/``_id`` slot pair is an interning cache owned by
     :class:`repro.core.facts.FactBase`: the ID this instance interned to,
-    valid only while ``_fb`` is that same fact base (refs canonicalized
-    per strategy may outlive one engine run and meet another fact base).
+    valid only while ``_fb`` is that same fact base's token (refs
+    canonicalized per strategy may outlive one engine run and meet
+    another fact base; the token, unlike the fact base, keeps nothing
+    alive).
     """
 
     __slots__ = ("obj", "path", "_hash", "_fb", "_id")

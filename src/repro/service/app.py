@@ -33,11 +33,13 @@ GET     /v1/sessions/{id}/diagnostics   the session's structured
 
 from __future__ import annotations
 
+import gc
 import re
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..clients.alias import may_alias, may_point_to_same
 from ..clients.callgraph import build_call_graph
@@ -150,6 +152,9 @@ class ServiceApp:
         self.counters = _ServerCounters()
         self._counter_lock = threading.Lock()
         self._started = time.monotonic()
+        #: Per thread: the sessions deleted inside an active
+        #: :meth:`releasing_after` block, or no attribute outside one.
+        self._held = threading.local()
 
     # ------------------------------------------------------------------
     # Dispatch.
@@ -208,6 +213,25 @@ class ServiceApp:
                 self.counters.responses_by_status.get(bucket, 0) + 1
             )
         return status, payload
+
+    @contextmanager
+    def releasing_after(self) -> Iterator[None]:
+        """Free the sessions that requests in this block delete only when
+        the block exits.
+
+        The HTTP layer wraps each request's handle-and-respond in it, so
+        a ``DELETE`` answers first and frees its session (synchronously,
+        on the same thread) right after the response is written.
+        Outside such a block a deleted session is freed inside
+        :meth:`handle`.
+        """
+        held: List[PooledSession] = []
+        self._held.sessions = held
+        try:
+            yield
+        finally:
+            del self._held.sessions
+            held.clear()
 
     def internal_error(self, exc: BaseException,
                        label: str) -> Tuple[int, Dict[str, object]]:
@@ -373,6 +397,15 @@ class ServiceApp:
             server = self.counters.as_dict()
         server.update(self.pool.counters())
         server["uptime_seconds"] = time.monotonic() - self._started
+        # Cyclic-collector activity since the server started, one entry
+        # per generation.  Sessions hold no reference cycles, so a
+        # DELETE frees its session by reference counting; ``collected``
+        # counts what was left for the collector to find.
+        server["gc"] = [
+            {"generation": gen, "collections": st["collections"],
+             "collected": st["collected"]}
+            for gen, st in enumerate(gc.get_stats())
+        ]
         return 200, {"server": server, "sessions": sessions}
 
     def _create_session(self, params, query, body):
@@ -435,6 +468,9 @@ class ServiceApp:
 
     def _delete_session(self, params, query, body):
         entry = self.pool.remove(params["sid"])
+        held = getattr(self._held, "sessions", None)
+        if held is not None:
+            held.append(entry)
         return 200, {"deleted": entry.id}
 
     def _add_statements(self, params, query, body):

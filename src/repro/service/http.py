@@ -111,10 +111,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond(*self.server.app.internal_error(
                 exc, f"{method} (reading the request)"))
             return
-        status, payload = self.server.app.handle(
-            method, parts.path, query, body
-        )
-        self._respond(status, payload)
+        app = self.server.app
+        with app.releasing_after():
+            status, payload = app.handle(method, parts.path, query, body)
+            self._respond(status, payload)
 
     def _respond(self, status: int, payload: dict) -> None:
         data = json.dumps(payload, sort_keys=True, default=str).encode()

@@ -545,6 +545,31 @@ class AnalysisSession:
             strategy = self._default_strategy_obj = CommonInitialSequence()
         return strategy
 
+    def release(
+        self,
+        strategy: Strategy,
+        trace: bool = False,
+        worklist: Union[str, Worklist] = "priority",
+        backend: Union[str, PropagationBackend, None] = None,
+    ) -> None:
+        """Drop the cached result, engine and demand answers of one
+        configuration (the arguments mean what they mean in
+        :meth:`solve`).
+
+        The engine and its fact base hold no reference cycles, so they
+        are freed here by reference counting, once the caller holds no
+        :class:`Result` of its own.  A later :meth:`solve` re-solves, or
+        warm-starts from the attached store.
+        """
+        if backend is None:
+            backend = self.backend
+        key = self._key(strategy, trace, worklist, backend)
+        self._engines.pop(key, None)
+        self._results.pop(key, None)
+        self._warm_keys.discard(key)
+        for dkey in [d for d in self._demand_cache if d[0] == key]:
+            del self._demand_cache[dkey]
+
     def cached_results(self) -> List[Result]:
         """The live results of every strategy solved so far."""
         return list(self._results.values())

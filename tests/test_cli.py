@@ -1,5 +1,9 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +161,95 @@ class TestStrictAndLenientCLI:
         with pytest.raises(SystemExit) as exc_info:
             main(["/no/such/file.c"])
         assert "cannot read" in str(exc_info.value.code)
+
+
+class TestCompareRelease:
+    def test_compare_releases_each_strategy(self, c_file, monkeypatch, capsys):
+        """Each row's engine and result leave the session before the
+        next strategy is solved."""
+        from repro.session import AnalysisSession
+
+        sizes = []
+        solve = AnalysisSession.solve
+
+        def spy(self, strategy, *args, **kwargs):
+            sizes.append((len(self._engines), len(self._results)))
+            return solve(self, strategy, *args, **kwargs)
+
+        monkeypatch.setattr(AnalysisSession, "solve", spy)
+        rc, _out = run_cli([c_file, "--compare"], capsys)
+        assert rc == 0
+        assert sizes == [(0, 0)] * 4
+
+    def test_compare_with_store_warm_starts(self, c_file, tmp_path,
+                                            monkeypatch, capsys):
+        store = str(tmp_path / "store")
+        rc, cold = run_cli([c_file, "--compare", "--store", store], capsys)
+        assert rc == 0
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a warm --compare constructed an engine")
+
+        monkeypatch.setattr("repro.session.Engine", no_engine)
+        rc, warm = run_cli([c_file, "--compare", "--store", store], capsys)
+        assert rc == 0
+        assert warm == cold
+
+
+def _python_m_repro(*args, **popen):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.Popen([sys.executable, "-m", "repro", *args],
+                            env=env, **popen)
+
+
+class TestProcessExit:
+    """``python -m repro`` flushes and leaves without interpreter
+    teardown, with the exit status ``sys.exit(main())`` would give."""
+
+    def run(self, *args):
+        proc = _python_m_repro(*args, stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=120)
+        return proc.returncode, out, err
+
+    def test_success_output_is_flushed(self, c_file):
+        rc, out, err = self.run(c_file, "--compare")
+        assert rc == 0 and err == ""
+        assert out.count("\n") == 5 and "Offsets" in out
+
+    def test_error_message_and_status(self, tmp_path):
+        rc, out, err = self.run(str(tmp_path / "missing.c"))
+        assert rc == 1 and out == ""
+        assert err.startswith("error: cannot read")
+
+    def test_usage_error_status(self):
+        rc, _out, err = self.run("--no-such-flag")
+        assert rc == 2 and "usage:" in err
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        from repro.suite.registry import by_name, program_dir
+
+        path = program_dir() / by_name("bc").filename
+        proc = _python_m_repro(str(path), "--temps", "-s", "offsets",
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_import_loads_only_what_the_cli_runs():
+    """``python -m repro`` imports neither the codegen backends nor the
+    clients ``--compare`` does not use."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, repro.__main__\n"
+             "print(sorted(m for m in ('repro.core.codegen',"
+             " 'repro.clients.modref', 'repro.clients.derefstats')"
+             " if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "['repro.clients.derefstats']"

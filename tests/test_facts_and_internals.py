@@ -134,11 +134,16 @@ class TestEngineEdges:
         p = program.objects.global_var("p", ptr(int_t))
         x = program.objects.global_var("x", int_t)
         calls = []
+
+        def on_pointee(eng, tgt):
+            assert eng is engine
+            calls.append(tgt)
+
         engine.add_fact(fr(p), fr(x))
-        engine.subscribe(fr(p), calls.append)
+        engine.subscribe(fr(p), on_pointee)
         assert calls == [fr(x)]
         # Same target delivered twice -> callback runs once.
-        engine.subscribe(fr(p), calls.append)
+        engine.subscribe(fr(p), on_pointee)
         assert len(calls) == 2  # one per subscription, not per delivery
 
     def test_cross_subscribe_pairs(self):
@@ -148,7 +153,9 @@ class TestEngineEdges:
         x = program.objects.global_var("x", int_t)
         y = program.objects.global_var("y", int_t)
         pairs = []
-        engine.cross_subscribe(fr(a), fr(b), lambda u, v: pairs.append((u, v)))
+        engine.cross_subscribe(
+            fr(a), fr(b), lambda eng, u, v: pairs.append((u, v))
+        )
         engine.add_fact(fr(a), fr(x))
         engine.drain()
         engine.add_fact(fr(b), fr(y))

@@ -19,7 +19,9 @@ it the way an external tenant would:
 6. 30 sessions over distinct generated programs, each created, queried
    for ``derefs`` under the four paper strategies, and deleted: the
    server's ``VmRSS`` must grow by at most 25 MB between the 5th and the
-   30th session (skipped where ``/proc`` is absent);
+   30th session (skipped where ``/proc`` is absent); the leg also prints
+   how many objects the server's cyclic collector freed per deleted
+   session (``GET /metrics``, ``server.gc``);
 7. SIGTERM must produce a clean shutdown (exit 0, ``shutdown: clean``).
 
 Exit status is nonzero on any violation, with the failing step named on
@@ -195,6 +197,11 @@ def vm_rss_mb(pid: int) -> float:
     fail("session churn", f"no VmRSS line in /proc/{pid}/status")
 
 
+def gc_collected(client: ServiceClient) -> int:
+    """Objects the server's cyclic collector has freed so far."""
+    return sum(g["collected"] for g in client.metrics()["server"]["gc"])
+
+
 def check_session_churn(client: ServiceClient, pid: int, sessions: int = 30,
                         settle: int = 5, limit_mb: float = 25.0) -> None:
     if not Path(f"/proc/{pid}/status").exists():
@@ -202,6 +209,7 @@ def check_session_churn(client: ServiceClient, pid: int, sessions: int = 30,
         return
     cfg = GenConfig(n_statements=500, n_helper_functions=4, n_structs=6)
     settled = 0.0
+    collected = 0
     for i in range(1, sessions + 1):
         source = generate_program(1000 + i, cfg)
         sid = client.create_session(source, name=f"churn{i}.c")["session"]["id"]
@@ -210,14 +218,18 @@ def check_session_churn(client: ServiceClient, pid: int, sessions: int = 30,
         client.delete_session(sid)
         if i == settle:
             settled = vm_rss_mb(pid)
+            collected = gc_collected(client)
     grown = vm_rss_mb(pid) - settled
     if grown > limit_mb:
         fail("session churn",
              f"server RSS grew {grown:.1f} MB from session {settle} to "
              f"{sessions} (limit {limit_mb:.0f} MB) -- a deleted session's "
              f"program is still reachable")
+    per_session = (gc_collected(client) - collected) / (sessions - settle)
     print(f"session churn ok: {sessions} create/derefs/delete cycles, RSS "
-          f"{grown:+.1f} MB from session {settle} to {sessions}")
+          f"{grown:+.1f} MB from session {settle} to {sessions}, "
+          f"{per_session:.0f} objects collected by the cyclic collector "
+          f"per deleted session")
 
 
 def check_shutdown(proc: subprocess.Popen) -> None:
