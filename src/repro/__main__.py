@@ -11,7 +11,7 @@ Examples::
     python -m repro prog.c -q p -q 's.field'        # specific queries
     python -m repro prog.c --compare                # all four, summary
     python -m repro prog.c --derefs                 # Figure-4 style sites
-    python -m repro prog.c --modular --jobs 4       # bottom-up SCC solve
+    python -m repro prog.c --modular                # bottom-up SCC solve
     python -m repro link a.c b.c                    # link report only
     python -m repro explain prog.c offsets "p -> x" # derivation tree
     python -m repro serve --port 8080               # analysis service
@@ -108,16 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
         "solve; see docs/internals.md)",
     )
     p.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="with --modular: pre-solve independent SCCs in N parallel "
-        "worker processes (default: serial)",
-    )
-    p.add_argument(
         "--demand", action="store_true",
-        help="with -q: demand-driven solve restricted to the queried "
-        "pointers (same answers as the exhaustive fixpoint; widens "
-        "soundly when a query escapes the demanded fragment — see "
-        "docs/queries.md)",
+        help="with -q: answer through the session's demand API, which "
+        "serves the exhaustive fixpoint (cached, from --store, or "
+        "solved; see docs/queries.md)",
     )
     p.add_argument(
         "--store", metavar="DIR", default=None,
@@ -296,7 +290,7 @@ def main(argv: List[str] = None) -> int:
 
     def _solve():
         if args.modular:
-            return session.solve_modular(strategy, workers=args.jobs).result
+            return session.solve_modular(strategy).result
         if args.demand:
             refs = [_resolve_query(program, q) for q in args.query]
             return session.solve_demand(strategy, refs).result
@@ -320,8 +314,6 @@ def main(argv: List[str] = None) -> int:
             f"tus_linked: {es.tus_linked}   "
             f"externs_resolved: {es.externs_resolved}   "
             f"summaries_computed: {es.summaries_computed}   "
-            f"scc_parallel_batches: {es.scc_parallel_batches}   "
-            f"modular_pool_failures: {es.modular_pool_failures}   "
             f"demanded_facts: {es.demanded_facts}   "
             f"demand_widenings: {es.demand_widenings}   "
             f"store_hits: {es.store_hits}   "
@@ -341,8 +333,7 @@ def main(argv: List[str] = None) -> int:
           f"time: {result.stats.solve_seconds * 1000:.1f}ms")
     if args.modular:
         es = result.stats
-        print(f"# modular: {es.summaries_computed} function summaries, "
-              f"{es.scc_parallel_batches} parallel batches")
+        print(f"# modular: {es.summaries_computed} function summaries")
 
     if args.no_assumption_1:
         flagged = result.corrupted_deref_sites()

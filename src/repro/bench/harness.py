@@ -688,8 +688,6 @@ _UNGATED_STATS = (
     "tus_linked",
     "externs_resolved",
     "summaries_computed",
-    "scc_parallel_batches",
-    "modular_pool_failures",
     "demanded_facts",
     "demand_widenings",
     "store_hits",

@@ -131,10 +131,10 @@ class DemandResult:
     installed: int
     #: True when the solve widened to the exhaustive engine.
     widened: bool
-    #: Where the fixpoint came from: ``"demand"`` (a demand solve),
-    #: ``"cache"`` or ``"store"`` (an exhaustive fixpoint the session
-    #: already held or loaded; see
-    #: :meth:`repro.session.AnalysisSession.solve_demand`).
+    #: Where the fixpoint came from: ``"demand"`` (this module's demand
+    #: solve), or, for :meth:`repro.session.AnalysisSession.solve_demand`,
+    #: ``"cache"``, ``"store"`` or ``"solve"`` (the session's exhaustive
+    #: fixpoint: held, loaded, or freshly solved).
     source: str = "demand"
 
     @property

@@ -29,15 +29,16 @@ them:
   never gated, because an incremental re-solve provably computes the
   same fixpoint as a from-scratch one.
 - **Link/modular counters** (``tus_linked``, ``externs_resolved``,
-  ``summaries_computed``, ``scc_parallel_batches``,
-  ``modular_pool_failures``) describe program provenance
+  ``summaries_computed``) describe program provenance
   (:mod:`repro.link`) and the modular solve schedule
   (:mod:`repro.core.modular`) — reported, never gated: linked and
   modular solves reach the identical fixpoint, these counters only
   record how the program was assembled and scheduled.
 - **Demand/store counters** (``demanded_facts``, ``demand_widenings``,
   ``store_hits``, ``store_misses``) describe how an answer was reached —
-  a demand-restricted fixpoint (:mod:`repro.core.demand`) or a
+  a demand-restricted fixpoint of the library solver
+  (:func:`repro.core.demand.solve_demand`; sessions answer demand
+  queries from the exhaustive fixpoint, so these stay 0 there) or a
   content-addressed store lookup (:mod:`repro.store`) — reported, never
   gated: demanded answers are differentially tested equal to the
   exhaustive fixpoint, and a store hit replays a previously solved one.
@@ -128,13 +129,6 @@ class EngineStats:
     #: bottom-up solve mode (:mod:`repro.core.modular`); 0 for the
     #: whole-program fixpoint.
     summaries_computed: int = 0
-    #: SCC batches the modular mode fanned out to worker processes
-    #: (``ProcessPoolExecutor``); 0 when solved serially.
-    scc_parallel_batches: int = 0
-    #: Worker-pool failures the modular mode degraded from (pre-seeding
-    #: fell back to the exact serial schedule); each one also records a
-    #: WARNING diagnostic.  Reported, never gated.
-    modular_pool_failures: int = 0
     #: Facts computed by a demand-driven solve (:mod:`repro.core.demand`)
     #: — the size of the demanded fragment's fixpoint, to compare against
     #: the exhaustive ``facts``.  0 for exhaustive solves.

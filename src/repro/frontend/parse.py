@@ -139,6 +139,22 @@ extern FILE *_stdin, *_stdout, *_stderr;
 """
 
 
+def _parse(text: str, filename: str) -> c_ast.FileAST:
+    """``CParser().parse(text, filename)`` that leaves no cycle behind.
+
+    pycparser's parser holds its lexer, the lexer holds the parser's
+    bound callbacks, and the parser's token stream buffers every token
+    of the parse: a cycle only the cyclic collector would free.
+    Clearing the parser's state once the parse returns or raises breaks
+    it, so reference counting frees the tokens at once.
+    """
+    parser = c_parser.CParser()
+    try:
+        return parser.parse(text, filename)
+    finally:
+        vars(parser).clear()
+
+
 @functools.cache
 def _prelude() -> Tuple[Tuple[c_ast.Node, ...], str]:
     """The prelude's top-level nodes and its *scope header*, built once.
@@ -150,7 +166,7 @@ def _prelude() -> Tuple[Tuple[c_ast.Node, ...], str]:
     exactly as the prelude would, at a fraction of the parse cost; its
     nodes are then swapped for the cached ones.
     """
-    nodes = tuple(c_parser.CParser().parse(PRELUDE, "<prelude>").ext)
+    nodes = tuple(_parse(PRELUDE, "<prelude>").ext)
     typedefs = [n.name for n in nodes if isinstance(n, c_ast.Typedef)]
     names = [n.name for n in nodes if not isinstance(n, c_ast.Typedef)]
     header = "".join(f"typedef int {t};\n" for t in typedefs)
@@ -364,13 +380,12 @@ def parse_c(
     if use_prelude:
         nodes, header = _prelude()
         text = header + text
-    parser = c_parser.CParser()
     try:
-        ast = parser.parse(text, filename)
+        ast = _parse(text, filename)
     except c_parser.ParseError as exc:
-        err = _wrap_pycparser_error(exc, filename)
         if strict:
-            raise err from exc
+            raise _wrap_pycparser_error(exc, filename) from exc
+        err = _wrap_pycparser_error(exc, filename)
         sink.report(
             err.kind, err.diagnostic.message,
             loc=err.loc, severity=Severity.FATAL, phase="parse",

@@ -348,27 +348,35 @@ class ServiceApp:
     # ------------------------------------------------------------------
     # Solving (the one place engines are created per request).
     # ------------------------------------------------------------------
-    def _solve(self, entry: PooledSession, strategy_key: str):
+    def _solve(self, entry: PooledSession, strategy_key: str, refs=None):
         """Solve (or fetch the cached result of) one strategy for ``entry``.
 
         Caller holds ``entry.lock``.  A repeat query hits the session's
         solve cache (counted as the server's ``solve_cache_hits``).
+        With ``refs``, the answer is the session's
+        :class:`~repro.core.demand.DemandResult` for them
+        (:meth:`AnalysisSession.solve_demand`) over the same fixpoint.
         """
         strategy = _strategy(entry, strategy_key)
-        before = entry.session.solve_cache_hits
+        session = entry.session
+        before = session.solve_cache_hits
         try:
-            result = entry.session.solve(strategy, backend=entry.backend)
+            if refs is None:
+                answer = session.solve(strategy, backend=entry.backend)
+            else:
+                answer = session.solve_demand(strategy, refs,
+                                              backend=entry.backend)
         except AnalysisBudgetExceeded as err:
             raise ServiceError(
                 422, "analysis-budget-exceeded",
                 f"solve exceeded the server's fact budget: {err}",
             ) from None
         with self._counter_lock:
-            if entry.session.solve_cache_hits > before:
+            if session.solve_cache_hits > before:
                 self.counters.solve_cache_hits += 1
             else:
                 self.counters.solves += 1
-        return result
+        return answer
 
     # ------------------------------------------------------------------
     # Handlers.
@@ -552,18 +560,14 @@ class ServiceApp:
         return 200, payload
 
     def _solve_demand(self, entry, strategy_key, kind, query):
-        """Demand-restricted solve for the target-specific query kinds.
+        """A ``demand=1`` answer for the target-specific query kinds.
 
-        Resolves the query's target refs, then asks the session for a
-        demand-driven answer (:meth:`AnalysisSession.solve_demand`):
-        the session's cached exhaustive result, else the store, else a
-        demand solve, which may widen to the exhaustive engine.  Every
-        path returns answers equal to the exhaustive fixpoint's; the
-        response's ``demand.source`` names the one that answered.
-        Whole-program kinds (modref, callgraph, derefs) never take this
-        path: they inspect every pointer, so demand buys nothing.
+        Validates the query's targets, then answers from the session's
+        exhaustive fixpoint (:meth:`AnalysisSession.solve_demand`); the
+        response's ``demand.source`` says whether that fixpoint was
+        cached, loaded from the store or solved.  Whole-program kinds
+        (modref, callgraph, derefs) never take this path.
         """
-        strategy = _strategy(entry, strategy_key)
         program = entry.session.program
         fn = query.get("function")
         if kind == "alias":
@@ -574,26 +578,11 @@ class ServiceApp:
         else:
             refs = [resolve_ref(
                 program, self._required_param(query, "target"), fn)]
-        before = entry.session.solve_cache_hits
-        try:
-            dres = entry.session.solve_demand(
-                strategy, refs, backend=entry.backend)
-        except AnalysisBudgetExceeded as err:
-            raise ServiceError(
-                422, "analysis-budget-exceeded",
-                f"solve exceeded the server's fact budget: {err}",
-            ) from None
-        with self._counter_lock:
-            if entry.session.solve_cache_hits > before:
-                self.counters.solve_cache_hits += 1
-            else:
-                self.counters.solves += 1
+        dres = self._solve(entry, strategy_key, refs)
         info = {
             "widened": dres.widened,
             "installed": dres.installed,
             "demanded_objects": len(dres.demanded),
-            # The answering fixpoint's facts: the demanded fragment's,
-            # or the whole program's on a cache or store hit.
             "demanded_facts": dres.stats.facts,
             "source": dres.source,
         }

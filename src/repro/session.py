@@ -122,12 +122,10 @@ class AnalysisSession:
                 self.store = ResultStore(store, diagnostics=self.diagnostics)
         self._engines: Dict[_CacheKey, Engine] = {}
         self._results: Dict[_CacheKey, Result] = {}
-        #: Cache keys of results that came from the store or a widened
-        #: demand solve: complete fixpoints, but with no live engine to
-        #: re-drain — :meth:`add_statements` must drop them.
+        #: Cache keys of results that came from the store: complete
+        #: fixpoints, but with no live engine to re-drain —
+        #: :meth:`add_statements` must drop them.
         self._warm_keys: set = set()
-        #: Demand-solve memo: (cache key, sorted query reprs) → DemandResult.
-        self._demand_cache: Dict[tuple, object] = {}
         #: Store keys of the current program version, per (strategy
         #: key, ABI name).  Hashing the program is most of a store
         #: lookup, and a miss and the ``put`` that follows it share a
@@ -286,16 +284,14 @@ class AnalysisSession:
     def solve_modular(
         self,
         strategy: Strategy,
-        workers: int = 0,
         worklist: Union[str, Worklist] = "priority",
         backend: Union[str, PropagationBackend, None] = None,
     ):
         """Bottom-up modular solve (:mod:`repro.core.modular`).
 
         Computes exactly the same fixpoint as :meth:`solve` — staged
-        over the callgraph SCC DAG, optionally pre-solving independent
-        SCCs in ``workers`` parallel processes — and additionally
-        returns per-function summaries.  Returns a
+        over the callgraph SCC DAG — and additionally returns
+        per-function summaries.  Returns a
         :class:`~repro.core.modular.ModularResult`; its ``.result`` is
         a normal :class:`Result`.  Not cached (each call re-solves):
         the modular mode exists for its summaries and its schedule, the
@@ -308,7 +304,6 @@ class AnalysisSession:
         mres = solve_modular(
             self.program,
             strategy,
-            workers=workers,
             max_facts=self.max_facts,
             assume_valid_pointers=self.assume_valid_pointers,
             worklist=worklist,
@@ -322,7 +317,7 @@ class AnalysisSession:
         return mres
 
     # ------------------------------------------------------------------
-    # Demand-driven querying and the content-addressed store.
+    # Demand answers and the content-addressed store.
     # ------------------------------------------------------------------
     def _store_key(self, strategy: Strategy) -> str:
         """:func:`repro.store.store_key` of ``strategy`` over the current
@@ -392,63 +387,40 @@ class AnalysisSession:
         worklist: Union[str, Worklist] = "priority",
         backend: Union[str, PropagationBackend, None] = None,
     ):
-        """Answer ``queries`` from finished work, else by a demand solve.
+        """Answer ``queries`` from the session's exhaustive fixpoint.
 
         ``queries`` is an iterable of :class:`AbstractObject`s and/or
-        refs (see :func:`repro.core.demand.query_refs`).  Returns a
-        :class:`~repro.core.demand.DemandResult` whose answers for the
-        queried refs equal the exhaustive fixpoint's, looked up in this
-        order (its ``source`` says which one answered):
+        refs (see :func:`repro.core.demand.query_refs`; an object of
+        another program raises ``KeyError``).  Returns a
+        :class:`~repro.core.demand.DemandResult` over the fixpoint
+        :meth:`solve` returns for this configuration; its ``source``
+        says where that fixpoint came from:
 
-        1. ``"cache"`` — the session's own exhaustive result for this
-           configuration (solved, warm-started, or a widened demand
-           solve); counted in :attr:`solve_cache_hits`;
-        2. ``"demand"`` — an identical earlier demand query, memoized
-           per (strategy, backend, query set); also a cache hit;
-        3. ``"store"`` — the attached store (:meth:`warm_start`), which
-           also caches the loaded fixpoint for later solves;
-        4. ``"demand"`` — a demand-driven solve
-           (:func:`repro.core.demand.solve_demand`).
+        1. ``"cache"`` — the session's own result (solved earlier or
+           warm-started); counted in :attr:`solve_cache_hits`;
+        2. ``"store"`` — the attached store (:meth:`warm_start`);
+        3. ``"solve"`` — a fresh exhaustive solve, cached and persisted
+           like any other, so the next query on the session is a cache
+           hit.
 
-        A cache or store hit is the exhaustive fixpoint: every
-        non-function object is exact, ``installed`` is the program's
-        statement count and ``widened`` is False.  A *widened* demand
-        solve drained every statement, so its result is the exhaustive
-        fixpoint too: it is promoted into the result cache and persisted
-        to the store like a full solve.
+        Every non-function object is exact, ``installed`` is the
+        program's statement count and ``widened`` is False.  The
+        demand-restricted solver (:func:`repro.core.demand.solve_demand`)
+        stays a library: a demand solve is not the exhaustive fixpoint,
+        so a plain query after it would solve again.
         """
-        from .core.demand import query_refs, solve_demand
+        from .core.demand import query_refs
 
-        if backend is None:
-            backend = self.backend
-        refs = query_refs(self.program, queries)
-        key = self._key(strategy, False, worklist, backend)
-        full = self._results.get(key)
-        if full is not None:
-            self.solve_cache_hits += 1
-            return self._exhaustive_answer(full, "cache")
-        dkey = (key, tuple(sorted(repr(r) for r in refs)))
-        cached = self._demand_cache.get(dkey)
-        if cached is not None:
-            self.solve_cache_hits += 1
-            return cached
-        full = self.warm_start(strategy, worklist=worklist, backend=backend)
-        if full is not None:
-            return self._exhaustive_answer(full, "store")
-        dres = solve_demand(
-            self.program, strategy, refs,
-            max_facts=self.max_facts,
-            assume_valid_pointers=self.assume_valid_pointers,
-            worklist=worklist, backend=backend,
-            diagnostics=self.diagnostics,
-        )
-        self._demand_cache[dkey] = dres
-        if dres.widened:
-            self._results[key] = dres.result
-            self._warm_keys.add(key)
-            if self.store is not None:
-                self._persist(dres.result)
-        return dres
+        query_refs(self.program, queries)
+        hits, loads = self.solve_cache_hits, self.store_hits
+        full = self.solve(strategy, worklist=worklist, backend=backend)
+        if self.solve_cache_hits > hits:
+            source = "cache"
+        elif self.store_hits > loads:
+            source = "store"
+        else:
+            source = "solve"
+        return self._exhaustive_answer(full, source)
 
     def _exhaustive_answer(self, result: Result, source: str):
         """A :class:`~repro.core.demand.DemandResult` over an exhaustive
@@ -492,26 +464,18 @@ class AnalysisSession:
         self,
         targets,
         strategy: Optional[Strategy] = None,
-        demand: bool = True,
         worklist: Union[str, Worklist] = "priority",
         backend: Union[str, PropagationBackend, None] = None,
     ) -> Dict[str, List[str]]:
-        """Answer points-to queries the cheapest sound way available.
+        """Answer points-to queries from the exhaustive fixpoint.
 
         ``targets``: an iterable of object names / ``"name.field"``
         paths / :class:`AbstractObject`s / refs.  Returns a mapping of
         each target's label to the sorted reprs of its points-to set.
         ``strategy=None`` uses the session's default
         (common-initial-sequence, constructed once and reused so its
-        result cache is stable).
-
-        Resolution order: an already-complete cached result (free) →
-        the attached store (warm start, one load) → a demand-driven
-        solve restricted to the targets (``demand=True``, the default;
-        :meth:`solve_demand`) or the exhaustive fixpoint (:meth:`solve`).
-        Every path returns answers equal to the exhaustive fixpoint's
-        (the demand differential and the store round-trip are both gated
-        in the test suite).
+        result cache is stable).  The answers come from :meth:`solve`:
+        a cached result, else the attached store, else a fresh solve.
         """
         from .ir.objects import AbstractObject
 
@@ -525,15 +489,9 @@ class AnalysisSession:
                 labeled[t.name] = t
             else:
                 labeled[repr(t)] = t
-        if demand:
-            source = self.solve_demand(
-                strategy, list(labeled.values()),
-                worklist=worklist, backend=backend,
-            )
-        else:
-            source = self.solve(strategy, worklist=worklist, backend=backend)
+        result = self.solve(strategy, worklist=worklist, backend=backend)
         return {
-            label: sorted(repr(r) for r in source.points_to(ref))
+            label: sorted(repr(r) for r in result.points_to(ref))
             for label, ref in labeled.items()
         }
 
@@ -552,9 +510,8 @@ class AnalysisSession:
         worklist: Union[str, Worklist] = "priority",
         backend: Union[str, PropagationBackend, None] = None,
     ) -> None:
-        """Drop the cached result, engine and demand answers of one
-        configuration (the arguments mean what they mean in
-        :meth:`solve`).
+        """Drop the cached result and engine of one configuration (the
+        arguments mean what they mean in :meth:`solve`).
 
         The engine and its fact base hold no reference cycles, so they
         are freed here by reference counting, once the caller holds no
@@ -567,8 +524,6 @@ class AnalysisSession:
         self._engines.pop(key, None)
         self._results.pop(key, None)
         self._warm_keys.discard(key)
-        for dkey in [d for d in self._demand_cache if d[0] == key]:
-            del self._demand_cache[dkey]
 
     def cached_results(self) -> List[Result]:
         """The live results of every strategy solved so far."""
@@ -660,15 +615,14 @@ class AnalysisSession:
         ``delta_stmts``, ``reused_graph_refs``).
         """
         added = self.program.add_statements(stmts, function=function)
-        # Warm-started / demand-widened results have no engine to
-        # re-drain and describe the *old* program: drop them (and every
-        # memoized demand answer) so the next query re-derives against
-        # the grown statement set.  The store needs no invalidation —
-        # its key is the program's content hash, which just changed.
+        # Warm-started results have no engine to re-drain and describe
+        # the *old* program: drop them so the next query re-derives
+        # against the grown statement set.  The store needs no
+        # invalidation — its key is the program's content hash, which
+        # just changed.
         for key in self._warm_keys:
             self._results.pop(key, None)
         self._warm_keys.clear()
-        self._demand_cache.clear()
         self._store_keys.clear()
         for engine in self._engines.values():
             engine.add_statements(added)

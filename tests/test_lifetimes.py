@@ -6,7 +6,8 @@ holds no reference cycle: dropping the last reference frees the engine,
 its :class:`~repro.core.facts.FactBase`, its
 :class:`~repro.core.graph.ConstraintGraph` and its strategy at once.
 Every check here runs with the cyclic collector switched off and never
-calls ``gc.collect()``; ``tests/test_engine_perf_layer.py`` and
+calls ``gc.collect()``, including the one that a parse leaves no
+pycparser token behind; ``tests/test_engine_perf_layer.py`` and
 ``tests/test_service.py`` keep the collector-based checks that programs
 and struct types die too.
 
@@ -192,6 +193,32 @@ class TestEnginesDieByRefcount:
                 assert status == 200
                 assert len(alive(refs)) == 4
             assert alive(refs) == []
+
+
+def _tokens() -> int:
+    """pycparser tokens still alive (they are tracked by the collector)."""
+    return sum(1 for o in gc.get_objects() if type(o).__name__ == "_Token")
+
+
+def test_parse_leaves_no_tokens_to_the_collector():
+    """A parse frees its tokens by reference counting, also when it fails."""
+    from repro.frontend.parse import ParseError, parse_c, prelude_nodes
+    from repro.suite.registry import by_name, program_dir
+
+    source = (program_dir() / by_name("bc").filename).read_text()
+    prelude_nodes()                 # the once-per-process prelude parse
+    with collector_off():
+        before = _tokens()
+        ast = parse_c(source, "bc.c")
+        assert ast.ext
+        parse_c("int x = ;", "bad.c", strict=False)
+        try:
+            parse_c("int x = ;", "bad.c")
+        except ParseError:
+            pass
+        else:
+            raise AssertionError("the syntax error was not raised")
+        assert _tokens() == before
 
 
 #: Runs ``argv[1:]``, reaps it with ``wait4`` and prints its exit code

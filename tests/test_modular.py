@@ -11,8 +11,7 @@ invariant — the same argument the incremental differential
 (tests/test_session_incremental.py) rests on.
 
 Also covered: the callgraph approximation and SCC schedule themselves,
-summary extraction, the parallel (process-pool) pre-seeding path, and
-the new counters' flow through ``EngineStats``.
+summary extraction, and the counters' flow through ``EngineStats``.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ def test_modular_equals_whole_program(suite_programs, bp, cls):
     assert md == wd, "deref profile diverged"
     assert mg == wg, "gated stats diverged"
     assert mod.stats.summaries_computed == len(program.functions)
-    assert mod.stats.scc_parallel_batches == 0  # serial mode
 
 
 # ----------------------------------------------------------------------
@@ -116,18 +114,6 @@ def test_summaries_capture_param_and_return_pointees():
     assert mod.summaries["main"].returns == []
 
 
-# ----------------------------------------------------------------------
-# Parallel mode.
-# ----------------------------------------------------------------------
-def test_parallel_preseed_matches_whole_program(suite_programs):
-    program = suite_programs[SUITE[2].name]
-    whole = Engine(program, CommonInitialSequence()).solve()
-    mod = solve_modular(program, CommonInitialSequence(), workers=2)
-    assert _snapshot(mod.result) == _snapshot(whole)
-    # The pool ran (or gracefully fell back, on exotic platforms).
-    assert mod.stats.scc_parallel_batches >= 0
-
-
 def test_session_solve_modular():
     session = AnalysisSession.from_c(RECURSIVE, "rec.c")
     mod = session.solve_modular(CommonInitialSequence())
@@ -142,73 +128,6 @@ def test_counters_flow_through_stats_dict():
     mod = solve_modular(program, CommonInitialSequence())
     d = mod.stats.as_dict()
     assert d["summaries_computed"] == 4
-    assert "scc_parallel_batches" in d
-
-
-# ---------------------------------------------------------------------------
-# Worker-pool failure handling: the serial fallback is sound but must
-# never be silent, and REPRO_DEBUG=1 must surface programmer errors.
-# ---------------------------------------------------------------------------
-def _fail_preseed(exc):
-    def boom(*args, **kwargs):
-        raise exc
-    return boom
-
-
-def test_pool_failure_degrades_with_warning(monkeypatch):
-    """An injected pool failure falls back to the exact serial schedule,
-    records a WARNING diagnostic, and bumps modular_pool_failures."""
-    import repro.core.modular as modular
-    from repro.diag import DiagnosticSink, Severity
-
-    monkeypatch.delenv("REPRO_DEBUG", raising=False)
-    monkeypatch.setattr(
-        modular, "_parallel_preseed",
-        _fail_preseed(RuntimeError("injected worker crash")))
-    program = program_from_c(RECURSIVE, "rec.c")
-    sink = DiagnosticSink()
-    mod = solve_modular(program, CommonInitialSequence(), workers=4,
-                        diagnostics=sink)
-    serial = solve_modular(program_from_c(RECURSIVE, "rec.c"),
-                           CommonInitialSequence())
-    assert mod.stats.modular_pool_failures == 1
-    assert mod.stats.scc_parallel_batches == 0
-    assert mod.facts.edge_count() == serial.facts.edge_count()
-    warnings = [d for d in sink.records if d.kind == "modular-pool-failure"]
-    assert len(warnings) == 1
-    assert warnings[0].severity is Severity.WARNING
-    assert "injected worker crash" in warnings[0].message
-
-
-def test_pool_failure_reraises_under_repro_debug(monkeypatch):
-    """REPRO_DEBUG=1 turns an unexpected (non-pool) failure into a
-    raise instead of a silent serial fallback."""
-    import repro.core.modular as modular
-
-    monkeypatch.setenv("REPRO_DEBUG", "1")
-    monkeypatch.setattr(
-        modular, "_parallel_preseed",
-        _fail_preseed(RuntimeError("programmer error")))
-    program = program_from_c(RECURSIVE, "rec.c")
-    with pytest.raises(RuntimeError, match="programmer error"):
-        solve_modular(program, CommonInitialSequence(), workers=4)
-
-
-def test_expected_pool_failures_degrade_even_under_debug(monkeypatch):
-    """Pickling/pool failures are the fallback's designed inputs: they
-    degrade (with the warning) even when REPRO_DEBUG=1."""
-    import pickle
-
-    import repro.core.modular as modular
-    from repro.diag import DiagnosticSink
-
-    monkeypatch.setenv("REPRO_DEBUG", "1")
-    program = program_from_c(RECURSIVE, "rec.c")
-    for exc in (pickle.PicklingError("unpicklable"), OSError("no pool")):
-        monkeypatch.setattr(modular, "_parallel_preseed", _fail_preseed(exc))
-        sink = DiagnosticSink()
-        mod = solve_modular(program_from_c(RECURSIVE, "rec.c"),
-                            CommonInitialSequence(), workers=4,
-                            diagnostics=sink)
-        assert mod.stats.modular_pool_failures == 1
-        assert any(d.kind == "modular-pool-failure" for d in sink.records)
+    # The process-pool pre-seeder and its counters are gone.
+    assert "scc_parallel_batches" not in d
+    assert "modular_pool_failures" not in d

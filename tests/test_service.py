@@ -508,27 +508,34 @@ class TestDemandQueries:
 
 
 class TestDemandSource:
-    """The ``demand`` block names what answered: the session's cached
-    fixpoint, the store, or a demand solve."""
+    """The ``demand`` block names where the exhaustive fixpoint came
+    from: the session's cache, the store, or a solve."""
 
     def test_source_follows_the_lookup_order(self, tmp_path):
         config = ServiceConfig(pool_size=4, store=str(tmp_path))
         app = ServiceApp(config)
         query = {"target": "p", "demand": "1"}
 
+        def solves():
+            return app.handle("GET", "/metrics")[1]["server"]["solves"]
+
         sid = create(app)["session"]["id"]
+        before = solves()
         status, first = app.handle("GET", f"/v1/sessions/{sid}/query", query)
-        assert status == 200 and first["demand"]["source"] == "demand"
+        assert status == 200 and first["demand"]["source"] == "solve"
         status, full = app.handle("GET", f"/v1/sessions/{sid}/query",
                                   {"target": "p"})
         assert status == 200
+        # The demand query solved once; the plain query was a cache hit.
+        assert solves() == before + 1
         status, cached = app.handle("GET", f"/v1/sessions/{sid}/query", query)
         statements = app.handle("GET", f"/v1/sessions/{sid}")[1][
             "session"]["statements"]
         demand = cached["demand"]
         assert demand["source"] == "cache" and not demand["widened"]
         assert demand["installed"] == statements
-        assert demand["demanded_facts"] >= first["demand"]["demanded_facts"]
+        assert first["demand"]["installed"] == statements
+        assert demand["demanded_facts"] == first["demand"]["demanded_facts"]
 
         sid2 = create(app)["session"]["id"]
         status, stored = app.handle("GET", f"/v1/sessions/{sid2}/query", query)

@@ -241,8 +241,8 @@ def _answers(result, program):
 
 
 class TestSolveDemand:
-    """``AnalysisSession.solve_demand`` answers from finished work first:
-    the session's exhaustive result, then the store, then a demand solve."""
+    """``AnalysisSession.solve_demand`` answers from the exhaustive
+    fixpoint: the session's result, then the store, then a solve."""
 
     def test_cached_exhaustive_result_answers(self, monkeypatch):
         session = AnalysisSession.from_c(DEMAND_SRC)
@@ -281,23 +281,47 @@ class TestSolveDemand:
 
     @pytest.mark.parametrize("with_store", [False, True],
                              ids=["no-store", "empty-store"])
-    def test_demand_solve_without_finished_work(self, tmp_path, with_store):
+    def test_demand_solve_without_finished_work(self, tmp_path, with_store,
+                                                monkeypatch):
         store = str(tmp_path) if with_store else None
         session = AnalysisSession.from_c(DEMAND_SRC, store=store)
+        _no_demand_solve(monkeypatch)
         p = _obj(session, "p")
         dres = session.solve_demand(CommonInitialSequence(), [p])
-        assert dres.source == "demand"
+        assert dres.source == "solve"
         assert not dres.widened
-        assert dres.installed < session.program.stmt_count()
+        assert dres.installed == session.program.stmt_count()
         assert dres.points_to_names(p) == {"x"}
         assert session.solve_cache_hits == 0
         assert session.store_misses == (1 if with_store else 0)
-        # A repeat of the same query is the memoized demand answer.
-        assert session.solve_demand(CommonInitialSequence(), [p]) is dres
+        # A repeat of the same query is a cache hit on the solved result.
+        again = session.solve_demand(CommonInitialSequence(), [p])
+        assert again.source == "cache" and again.result is dres.result
         assert session.solve_cache_hits == 1
+
+    def test_cold_demand_then_solve_builds_one_engine(self, monkeypatch):
+        import repro.session as session_mod
+
+        built = []
+
+        class CountingEngine(session_mod.Engine):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(session_mod, "Engine", CountingEngine)
+        session = AnalysisSession.from_c(DEMAND_SRC)
+        strategy = CommonInitialSequence()
+        dres = session.solve_demand(strategy, [_obj(session, "p")])
+        hits = session.solve_cache_hits
+        full = session.solve(strategy)
+        assert len(built) == 1
+        assert session.solve_cache_hits == hits + 1
+        assert full is dres.result
 
     @pytest.mark.parametrize("first", ["cache", "store", "demand"])
     def test_answers_follow_growth(self, tmp_path, first):
+        # ``demand`` starts from nothing held: the first answer is a solve.
         strategy = CommonInitialSequence()
         if first == "store":
             AnalysisSession.from_c(DEMAND_SRC, store=str(tmp_path)).solve(
@@ -307,7 +331,8 @@ class TestSolveDemand:
         if first == "cache":
             session.solve(strategy)
         p, q, y = _obj(session, "p"), _obj(session, "q"), _obj(session, "y")
-        assert session.solve_demand(strategy, [p]).source == first
+        assert session.solve_demand(strategy, [p]).source == (
+            "solve" if first == "demand" else first)
         session.add_statements(
             [AddrOf(p, FieldRef(y, ())), AddrOf(q, FieldRef(y, ()))],
             function="main")
@@ -316,7 +341,7 @@ class TestSolveDemand:
         for obj in (p, q):
             assert dres.points_to(obj) == fresh.points_to(obj)
         assert dres.points_to_names(p) == {"x", "y"}
-        if first == "cache":
-            assert dres.source == "cache"
-            assert _answers(dres.result, session.program) == _answers(
-                fresh, session.program)
+        # A live engine re-drains; a warm result is dropped and re-solved.
+        assert dres.source == ("solve" if first == "store" else "cache")
+        assert _answers(dres.result, session.program) == _answers(
+            fresh, session.program)

@@ -10,11 +10,13 @@ from inside one interpreter:
    command in a fresh process* warm-starts (``1 hit(s), 0 miss(es)``)
    and prints byte-identical points-to answers;
 2. **server crash/restart**: a ``python -m repro serve --store DIR``
-   instance solves a session, is SIGKILLed (no clean shutdown, no
-   in-memory state survives), and a rebooted server over the same
-   directory answers the same query from the store — a ``demand=1``
-   query reports ``demand.source == "store"``, ``store_hits > 0`` in
-   the session document, identical names;
+   instance answers a session's first ``demand=1`` query with one
+   exhaustive solve (``demand.source == "solve"``; the plain query
+   after it leaves ``/metrics`` ``solves`` unchanged), is SIGKILLed (no
+   clean shutdown, no in-memory state survives), and a rebooted server
+   over the same directory answers the same query from the store — a
+   ``demand=1`` query reports ``demand.source == "store"``,
+   ``store_hits > 0`` in the session document, identical names;
 3. **latency**: an in-process warm start is at least 5x faster than the
    cold solve it replaces (measured on a benchmark where the solve
    dominates; the ratio is asserted with margin for CI-load noise).
@@ -123,9 +125,22 @@ def check_server_restart(store: str) -> None:
     try:
         client = ServiceClient(url)
         sid = client.create_session(SOURCE, name="smoke.c")["session"]["id"]
+        # The first demand query solves the whole program once; the
+        # plain query after it is a cache hit, not a second solve.
+        answer = client.query(sid, "points_to", target="p", demand="1")
+        source = answer.get("demand", {}).get("source")
+        if source != "solve":
+            fail("server cold demand",
+                 f"demand.source = {source!r}, expected 'solve'")
+        solves = client.metrics()["server"]["solves"]
         cold = client.points_to(sid, "p")["names"]
-        if cold != ["x"]:
-            fail("server cold", f"p -> {cold}, expected ['x']")
+        if cold != ["x"] or answer["names"] != cold:
+            fail("server cold", f"p -> {cold} (demand: {answer['names']}), "
+                 f"expected ['x']")
+        after = client.metrics()["server"]["solves"]
+        if after != solves:
+            fail("server cold", f"the plain query after a demand query "
+                 f"solved again (solves {solves} -> {after})")
     finally:
         proc.send_signal(signal.SIGKILL)           # crash, not shutdown
         proc.communicate(timeout=30)
