@@ -10,6 +10,8 @@ MOD-REF / call-graph queries against cached solved engines.  Layering:
   (HTTP-free, unit-testable);
 - :mod:`repro.service.pool` — multi-tenant LRU + byte-budget session
   pool with per-session locks;
+- :mod:`repro.service.frontcache` — the per-server cache of pickled
+  normalized programs, so each source text is parsed once;
 - :mod:`repro.service.codec` — the JSON wire format for incremental
   statement deltas and query targets;
 - :mod:`repro.service.errors` — the structured error model (every

@@ -49,7 +49,8 @@ from ..core import STRATEGY_BY_KEY
 from ..core.backend import backend_name
 from ..core.stats import AnalysisBudgetExceeded
 from ..core.strategy import Strategy
-from ..diag import FrontendError
+from ..diag import DiagnosticSink, FrontendError
+from ..frontend import program_from_c, program_from_sources
 from ..obs.metrics import session_metrics
 from ..session import AnalysisSession
 from .codec import resolve_ref, statements_from_json
@@ -60,6 +61,7 @@ from .errors import (
     from_fatal_sink,
     from_frontend_error,
 )
+from .frontcache import FrontendCache, frontend_key
 from .pool import PooledSession, SessionPool
 
 __all__ = ["ServiceConfig", "ServiceApp", "QUERY_KINDS"]
@@ -150,6 +152,9 @@ class ServiceApp:
         self.pool = SessionPool(self.config.pool_size,
                                 self.config.byte_budget)
         self.counters = _ServerCounters()
+        #: Pickled programs by source text: a create of an input seen
+        #: before skips the front end (:mod:`repro.service.frontcache`).
+        self.frontend_cache = FrontendCache(self.config.byte_budget // 8)
         self._counter_lock = threading.Lock()
         self._started = time.monotonic()
         #: Per thread: the sessions deleted inside an active
@@ -404,6 +409,7 @@ class ServiceApp:
         with self._counter_lock:
             server = self.counters.as_dict()
         server.update(self.pool.counters())
+        server["frontend_cache"] = self.frontend_cache.counters()
         server["uptime_seconds"] = time.monotonic() - self._started
         # Cyclic-collector activity since the server started, one entry
         # per generation.  Sessions hold no reference cycles, so a
@@ -437,30 +443,42 @@ class ServiceApp:
                                f"{', '.join(_ABIS)}")
         backend = self._validated_backend(self._str_field(body, "backend"))
 
-        try:
-            if files is not None:
-                session = AnalysisSession.from_sources(
-                    self._tu_sources(files), name=name, strict=strict,
-                    max_facts=self.config.max_facts, backend=backend,
-                    store=self.config.store,
-                )
-            else:
-                session = AnalysisSession.from_c(
-                    source, name=name, strict=strict,
-                    max_facts=self.config.max_facts, backend=backend,
-                    store=self.config.store,
-                )
-        except FrontendError as err:
-            raise from_frontend_error(err) from None
-        fatal = from_fatal_sink(session.diagnostics)
-        if fatal is not None:
-            raise fatal
-
+        program, sink = self._frontend(name, strict, source, files)
+        session = AnalysisSession(
+            program, diagnostics=sink, strict=strict,
+            max_facts=self.config.max_facts, backend=backend,
+            store=self.config.store,
+        )
         entry = PooledSession(session, name, strategy_key, abi, strict,
                               backend)
         evicted = self.pool.add(entry)
         doc = entry.describe()
         return 201, {"session": doc, "evicted": [e.id for e in evicted]}
+
+    def _frontend(self, name, strict, source, files):
+        """The program and diagnostics of a create request: a private
+        copy from the front-end cache, or a fresh front-end run that is
+        stored there once it has passed the fatal checks."""
+        sources = self._tu_sources(files) if files is not None else None
+        key = frontend_key(name, strict, source=source, files=sources)
+        cached = self.frontend_cache.get(key)
+        if cached is not None:
+            return cached
+        sink = DiagnosticSink()
+        try:
+            if sources is not None:
+                program = program_from_sources(sources, name, strict=strict,
+                                               diagnostics=sink)
+            else:
+                program = program_from_c(source, name, strict=strict,
+                                         diagnostics=sink)
+        except FrontendError as err:
+            raise from_frontend_error(err) from None
+        fatal = from_fatal_sink(sink)
+        if fatal is not None:
+            raise fatal
+        self.frontend_cache.put(key, program, sink)
+        return program, sink
 
     def _list_sessions(self, params, query, body):
         docs = []

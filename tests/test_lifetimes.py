@@ -174,6 +174,32 @@ class TestEnginesDieByRefcount:
             assert status == 200
             assert alive(refs) == []
 
+    def test_service_delete_of_a_cached_program(self):
+        """A session built from a front-end cache hit dies like any other:
+        the cache keeps only the pickled bytes, never a live program."""
+        app = ServiceApp(ServiceConfig(pool_size=4))
+        for _ in range(2):
+            status, payload = app.handle("POST", "/v1/sessions", None,
+                                         {"source": SRC})
+            assert status == 201, payload
+        sid = payload["session"]["id"]
+        assert app.frontend_cache.counters()["hits"] == 1
+        with collector_off():
+            for cls in ALL_STRATEGIES:
+                status, payload = app.handle(
+                    "GET", f"/v1/sessions/{sid}/query",
+                    {"kind": "points_to", "target": "p", "strategy": cls.key})
+                assert status == 200, payload
+            session = app.pool.checkout(sid).session
+            refs = [weakref.ref(e.facts) for e in session._engines.values()]
+            assert len(refs) == 4
+            del session
+            status, _ = app.handle("DELETE", f"/v1/sessions/{sid}")
+            assert status == 200
+            assert alive(refs) == []
+        assert all(type(data) is bytes
+                   for data in app.frontend_cache._entries.values())
+
     def test_service_delete_frees_after_the_response(self):
         """Over HTTP the session outlives the handler until the response
         is written (``releasing_after``), then dies at once."""

@@ -9,20 +9,23 @@ it the way an external tenant would:
 3. a full create → query → incremental delta → re-query round-trip via
    :class:`repro.service.client.ServiceClient`, checking the points-to
    answers at each step;
-4. a sweep of ADVERSARIAL-preset fuzz programs submitted over HTTP in
+4. the same round-trip again: its create must be a front-end cache hit
+   (``GET /metrics``, ``server.frontend_cache.hits``) and every answer
+   must equal the first round-trip's;
+5. a sweep of ADVERSARIAL-preset fuzz programs submitted over HTTP in
    both strict and lenient mode — every response must be a session or a
    structured JSON diagnostic envelope, never a 500;
-5. on one keep-alive connection, 20 ``GET /healthz`` and 5 mod/ref
+6. on one keep-alive connection, 20 ``GET /healthz`` and 5 mod/ref
    queries on ``bc.c`` (a ~28 KB answer) must each take, in the median,
    under 10 ms more than on fresh connections — a response sent in two
    writes stalls ~40 ms per request on the client's delayed ACK;
-6. 30 sessions over distinct generated programs, each created, queried
+7. 30 sessions over distinct generated programs, each created, queried
    for ``derefs`` under the four paper strategies, and deleted: the
    server's ``VmRSS`` must grow by at most 25 MB between the 5th and the
    30th session (skipped where ``/proc`` is absent); the leg also prints
    how many objects the server's cyclic collector freed per deleted
    session (``GET /metrics``, ``server.gc``);
-7. SIGTERM must produce a clean shutdown (exit 0, ``shutdown: clean``).
+8. SIGTERM must produce a clean shutdown (exit 0, ``shutdown: clean``).
 
 Exit status is nonzero on any violation, with the failing step named on
 stderr.  Usage::
@@ -86,19 +89,20 @@ def boot() -> tuple[subprocess.Popen, str]:
     return proc, line.split()[-1]
 
 
-def check_round_trip(client: ServiceClient) -> None:
+def check_round_trip(client: ServiceClient) -> list:
+    """Create → query → delta → re-query; returns the answers."""
     if client.healthz().get("status") != "ok":
         fail("healthz", repr(client.healthz()))
     doc = client.create_session(SOURCE, name="smoke.c")
     sid = doc["session"]["id"]
-    got = client.points_to(sid, "p")["names"]
-    if got != ["x"]:
-        fail("query", f"p -> {got}, expected ['x']")
-    client.add_statements(
+    first = client.points_to(sid, "p")["names"]
+    if first != ["x"]:
+        fail("query", f"p -> {first}, expected ['x']")
+    added = client.add_statements(
         sid, [{"form": "addrof", "lhs": "p", "target": "y"},
               {"form": "copy", "lhs": "p", "rhs": "s", "path": ["s1"]}],
         function="main",
-    )
+    )["added"]
     got = client.points_to(sid, "p")["names"]
     if got != ["x", "y"]:
         fail("delta re-query", f"p -> {got}, expected ['x', 'y']")
@@ -106,6 +110,26 @@ def check_round_trip(client: ServiceClient) -> None:
     if not alias["may_alias"]:
         fail("alias query", repr(alias))
     print(f"round-trip ok: session {sid}, delta grew p to {got}")
+    return [doc["session"]["statements"], first, added, got,
+            alias["may_alias"], alias["may_point_to_same"]]
+
+
+def check_cached_round_trip(client: ServiceClient, expected: list) -> None:
+    """A second create of ``SOURCE`` is a front-end cache hit whose
+    session answers exactly like the first (which took a delta since)."""
+    hits = client.metrics()["server"]["frontend_cache"]["hits"]
+    answers = check_round_trip(client)
+    cache = client.metrics()["server"]["frontend_cache"]
+    if cache["hits"] != hits + 1:
+        fail("cached round-trip",
+             f"front-end cache hits went {hits} -> {cache['hits']}, "
+             f"expected one hit")
+    if answers != expected:
+        fail("cached round-trip",
+             f"answers {answers!r} differ from the first session's "
+             f"{expected!r}")
+    print(f"cached round-trip ok: a front-end cache hit, same answers "
+          f"({cache['entries']} cached programs, {cache['bytes']} bytes)")
 
 
 def check_adversarial(client: ServiceClient, seeds: range) -> None:
@@ -257,7 +281,7 @@ def main(argv=None) -> int:
     proc, url = boot()
     try:
         client = ServiceClient(url)
-        check_round_trip(client)
+        check_cached_round_trip(client, check_round_trip(client))
         check_adversarial(client, range(lo, hi))
         check_keep_alive(client)
         check_session_churn(client, proc.pid)
