@@ -11,7 +11,6 @@ Examples::
     python -m repro prog.c -q p -q 's.field'        # specific queries
     python -m repro prog.c --compare                # all four, summary
     python -m repro prog.c --derefs                 # Figure-4 style sites
-    python -m repro prog.c --modular                # bottom-up SCC solve
     python -m repro link a.c b.c                    # link report only
     python -m repro explain prog.c offsets "p -> x" # derivation tree
     python -m repro serve --port 8080               # analysis service
@@ -30,8 +29,7 @@ from .core.backend import BACKENDS
 from .ctype.layout import ILP32, LP64, Layout
 from .diag import FrontendError, Severity
 from .ir.objects import ObjKind
-from .ir.refs import FieldRef
-from .session import AnalysisSession
+from .session import AnalysisSession, resolve_target
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,18 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         "as a diagnostic on stderr (see docs/robustness.md)",
     )
     p.add_argument(
-        "--modular", action="store_true",
-        help="solve bottom-up over the callgraph SCC DAG, computing "
-        "per-function summaries (same fixpoint as the whole-program "
-        "solve; see docs/internals.md)",
-    )
-    p.add_argument(
-        "--demand", action="store_true",
-        help="with -q: answer through the session's demand API, which "
-        "serves the exhaustive fixpoint (cached, from --store, or "
-        "solved; see docs/queries.md)",
-    )
-    p.add_argument(
         "--store", metavar="DIR", default=None,
         help="content-addressed result store directory: solved fixpoints "
         "persist and identical (program, strategy, ABI, mode) runs "
@@ -124,22 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _layout(args) -> Layout:
     return Layout(LP64 if args.abi == "lp64" else ILP32)
-
-
-def _resolve_query(program, text: str):
-    """Parse ``name`` or ``name.field.path`` into a FieldRef."""
-    parts = text.split(".")
-    name = parts[0]
-    obj = program.objects.lookup(name)
-    if obj is None:
-        # Try function-local names: fn::x
-        for candidate in program.objects.all_objects():
-            if candidate.name.endswith(f"::{name}"):
-                obj = candidate
-                break
-    if obj is None:
-        raise SystemExit(f"error: no object named {name!r}")
-    return FieldRef(obj, tuple(parts[1:]))
 
 
 def _open_session(args) -> AnalysisSession:
@@ -275,10 +245,6 @@ def main(argv: List[str] = None) -> int:
         return run_link(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.demand and not args.query:
-        parser.error("--demand requires at least one -q/--query target")
-    if args.demand and args.modular:
-        parser.error("--demand and --modular are mutually exclusive")
 
     session = _open_session(args)
     if args.compare:
@@ -288,21 +254,13 @@ def main(argv: List[str] = None) -> int:
     program = session.program
     strategy = STRATEGY_BY_KEY[args.strategy](_layout(args))
 
-    def _solve():
-        if args.modular:
-            return session.solve_modular(strategy).result
-        if args.demand:
-            refs = [_resolve_query(program, q) for q in args.query]
-            return session.solve_demand(strategy, refs).result
-        return session.solve(strategy)
-
     if args.profile:
         import cProfile
         import pstats
 
         profiler = cProfile.Profile()
         profiler.enable()
-        result = _solve()
+        result = session.solve(strategy)
         profiler.disable()
         stats = pstats.Stats(profiler, stream=sys.stderr)
         stats.sort_stats("cumulative").print_stats(20)
@@ -313,9 +271,6 @@ def main(argv: List[str] = None) -> int:
             f"props_saved: {es.props_saved}   "
             f"tus_linked: {es.tus_linked}   "
             f"externs_resolved: {es.externs_resolved}   "
-            f"summaries_computed: {es.summaries_computed}   "
-            f"demanded_facts: {es.demanded_facts}   "
-            f"demand_widenings: {es.demand_widenings}   "
             f"store_hits: {es.store_hits}   "
             f"store_misses: {es.store_misses}",
             file=sys.stderr,
@@ -327,13 +282,10 @@ def main(argv: List[str] = None) -> int:
                 file=sys.stderr,
             )
     else:
-        result = _solve()
+        result = session.solve(strategy)
     print(f"# {program.summary()}")
     print(f"# strategy: {strategy.name}   facts: {result.facts.edge_count()}   "
           f"time: {result.stats.solve_seconds * 1000:.1f}ms")
-    if args.modular:
-        es = result.stats
-        print(f"# modular: {es.summaries_computed} function summaries")
 
     if args.no_assumption_1:
         flagged = result.corrupted_deref_sites()
@@ -345,7 +297,10 @@ def main(argv: List[str] = None) -> int:
 
     if args.query:
         for q in args.query:
-            ref = _resolve_query(program, q)
+            try:
+                ref = resolve_target(program, q)
+            except KeyError as err:
+                raise SystemExit(f"error: {err.args[0]}") from None
             targets = sorted(map(repr, result.points_to(ref)))
             print(f"{q} -> {targets}")
         return 0

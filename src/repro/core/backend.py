@@ -98,8 +98,10 @@ _np_checked = False
 def available_numpy():
     """The numpy module, or None when it cannot be imported.
 
-    Cached after the first probe; tests monkeypatch this function to
-    exercise the fallback path without uninstalling numpy.
+    Only an ``ImportError`` means "absent"; any other error raised while
+    importing numpy propagates.  Cached after the first probe; tests
+    monkeypatch this function to exercise the fallback path without
+    uninstalling numpy.
     """
     global _np_module, _np_checked
     if not _np_checked:
@@ -107,7 +109,7 @@ def available_numpy():
             import numpy  # noqa: PLC0415 - optional dependency probe
 
             _np_module = numpy
-        except Exception:  # pragma: no cover - depends on environment
+        except ImportError:  # pragma: no cover - depends on environment
             _np_module = None
         _np_checked = True
     return _np_module

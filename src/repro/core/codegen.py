@@ -599,15 +599,17 @@ def load_accel():
 
     Probes ``repro.core._accel`` (built by ``tools/build_accel.py``)
     once and caches the outcome; a module with a mismatched
-    ``ACCEL_API_VERSION`` is treated as absent.  Tests monkeypatch this
-    function to exercise both sides of the seam without a compiler.
+    ``ACCEL_API_VERSION`` is treated as absent, and only an
+    ``ImportError`` means "not built": any other error raised while
+    importing it propagates.  Tests monkeypatch this function to
+    exercise both sides of the seam without a compiler.
     """
     global _accel_module, _accel_checked
     if not _accel_checked:
         mod = None
         try:
             from . import _accel as mod  # type: ignore[attr-defined] # noqa: PLC0415
-        except Exception:  # pragma: no cover - depends on a built module
+        except ImportError:  # pragma: no cover - depends on a built module
             mod = None
         if mod is not None and getattr(
             mod, "ACCEL_API_VERSION", None

@@ -131,11 +131,6 @@ class DemandResult:
     installed: int
     #: True when the solve widened to the exhaustive engine.
     widened: bool
-    #: Where the fixpoint came from: ``"demand"`` (this module's demand
-    #: solve), or, for :meth:`repro.session.AnalysisSession.solve_demand`,
-    #: ``"cache"``, ``"store"`` or ``"solve"`` (the session's exhaustive
-    #: fixpoint: held, loaded, or freshly solved).
-    source: str = "demand"
 
     @property
     def facts(self):

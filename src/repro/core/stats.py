@@ -37,8 +37,8 @@ them:
 - **Demand/store counters** (``demanded_facts``, ``demand_widenings``,
   ``store_hits``, ``store_misses``) describe how an answer was reached —
   a demand-restricted fixpoint of the library solver
-  (:func:`repro.core.demand.solve_demand`; sessions answer demand
-  queries from the exhaustive fixpoint, so these stay 0 there) or a
+  (:mod:`repro.core.demand`; no session, CLI or service path runs it,
+  so these stay 0 there) or a
   content-addressed store lookup (:mod:`repro.store`) — reported, never
   gated: demanded answers are differentially tested equal to the
   exhaustive fixpoint, and a store hit replays a previously solved one.

@@ -20,7 +20,10 @@ refs are the single most-allocated type in an analysis run, and slots
 drop the per-instance ``__dict__`` while still leaving room for the
 lazily cached hash (``@dataclass(slots=True)`` cannot host an extra
 cache slot on a frozen class).  Objects hash and compare by identity, so
-both the hash and ``__eq__`` use ``id(obj)``/``is``.
+both the hash and ``__eq__`` use ``id(obj)``/``is``.  Pickling and
+``copy``/``deepcopy`` rebuild a ref from its object and path (or
+offset) alone, leaving the address-derived hash and the interning
+slots behind.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ class FieldRef:
     def __init__(self, obj: AbstractObject, path: Tuple[str, ...] = ()) -> None:
         self.obj = obj
         self.path = path
+
+    def __reduce__(self):
+        # Rebuild from (obj, path) alone: the cached hash comes from the
+        # object's address and the interning slots from one fact base,
+        # so a pickled or copied ref must compute its own.
+        return FieldRef, (self.obj, self.path)
 
     def extend(self, more: Tuple[str, ...]) -> "FieldRef":
         """The reference ``obj.path.more`` (paper's concatenation ``β.γ``)."""
@@ -85,6 +94,9 @@ class OffsetRef:
     def __init__(self, obj: AbstractObject, offset: int = 0) -> None:
         self.obj = obj
         self.offset = offset
+
+    def __reduce__(self):
+        return OffsetRef, (self.obj, self.offset)
 
     def __eq__(self, other: object) -> bool:
         if self is other:

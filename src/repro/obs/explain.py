@@ -254,7 +254,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _main(argv: Optional[List[str]] = None) -> int:
     from ..core import STRATEGY_BY_KEY
     from ..ctype.layout import ILP32, LP64, Layout
-    from ..session import AnalysisSession
+    from ..session import AnalysisSession, resolve_target
 
     args = build_explain_parser().parse_args(argv)
     keys = sorted(STRATEGY_BY_KEY)
@@ -270,11 +270,12 @@ def _main(argv: Optional[List[str]] = None) -> int:
     assert isinstance(tracer, Tracer)
 
     src_text, dst_text = _parse_query(args.query)
-    # Reuse the main CLI's name resolution (fn::local fallback included).
-    from ..__main__ import _resolve_query
-
-    src_ref = strategy.normalize(_resolve_query(program, src_text))
-    dst_ref = strategy.normalize(_resolve_query(program, dst_text))
+    try:
+        src_ref = resolve_target(program, src_text)
+        dst_ref = resolve_target(program, dst_text)
+    except KeyError as err:
+        raise SystemExit(f"error: {err.args[0]}") from None
+    src_ref, dst_ref = strategy.normalize(src_ref), strategy.normalize(dst_ref)
     facts = result.facts
     sid, did = facts.id_of(src_ref), facts.id_of(dst_ref)
     key = (sid, did) if sid is not None and did is not None else None

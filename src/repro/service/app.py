@@ -353,35 +353,30 @@ class ServiceApp:
     # ------------------------------------------------------------------
     # Solving (the one place engines are created per request).
     # ------------------------------------------------------------------
-    def _solve(self, entry: PooledSession, strategy_key: str, refs=None):
+    def _solve(self, entry: PooledSession, strategy_key: str):
         """Solve (or fetch the cached result of) one strategy for ``entry``.
 
         Caller holds ``entry.lock``.  A repeat query hits the session's
-        solve cache (counted as the server's ``solve_cache_hits``).
-        With ``refs``, the answer is the session's
-        :class:`~repro.core.demand.DemandResult` for them
-        (:meth:`AnalysisSession.solve_demand`) over the same fixpoint.
+        solve cache (counted as the server's ``solve_cache_hits``); a
+        result loaded from the store is neither a hit nor a solve (the
+        session document counts it in ``store.hits``).
         """
         strategy = _strategy(entry, strategy_key)
         session = entry.session
-        before = session.solve_cache_hits
+        hits, loads = session.solve_cache_hits, session.store_hits
         try:
-            if refs is None:
-                answer = session.solve(strategy, backend=entry.backend)
-            else:
-                answer = session.solve_demand(strategy, refs,
-                                              backend=entry.backend)
+            result = session.solve(strategy, backend=entry.backend)
         except AnalysisBudgetExceeded as err:
             raise ServiceError(
                 422, "analysis-budget-exceeded",
                 f"solve exceeded the server's fact budget: {err}",
             ) from None
         with self._counter_lock:
-            if session.solve_cache_hits > before:
+            if session.solve_cache_hits > hits:
                 self.counters.solve_cache_hits += 1
-            else:
+            elif session.store_hits == loads:
                 self.counters.solves += 1
-        return answer
+        return result
 
     # ------------------------------------------------------------------
     # Handlers.
@@ -550,18 +545,11 @@ class ServiceApp:
                 f"expected one of {', '.join(QUERY_KINDS)}",
             )
         entry = self.pool.checkout(params["sid"])
-        demand_info = None
         try:
             with entry.lock:
                 strategy_key = self._validated_strategy(query.get("strategy")
                                                         or entry.strategy_key)
-                use_demand = (query.get("demand", "").lower()
-                              in ("1", "true", "yes"))
-                if use_demand and kind in ("points_to", "alias"):
-                    result, demand_info = self._solve_demand(
-                        entry, strategy_key, kind, query)
-                else:
-                    result = self._solve(entry, strategy_key)
+                result = self._solve(entry, strategy_key)
                 entry.queries += 1
                 payload = getattr(self, "_query_" + kind)(entry, result, query)
         finally:
@@ -573,38 +561,7 @@ class ServiceApp:
             # some unrelated later mutation.
             self.pool.remeasure(entry)
         payload.update(session=entry.id, kind=kind, strategy=strategy_key)
-        if demand_info is not None:
-            payload["demand"] = demand_info
         return 200, payload
-
-    def _solve_demand(self, entry, strategy_key, kind, query):
-        """A ``demand=1`` answer for the target-specific query kinds.
-
-        Validates the query's targets, then answers from the session's
-        exhaustive fixpoint (:meth:`AnalysisSession.solve_demand`); the
-        response's ``demand.source`` says whether that fixpoint was
-        cached, loaded from the store or solved.  Whole-program kinds
-        (modref, callgraph, derefs) never take this path.
-        """
-        program = entry.session.program
-        fn = query.get("function")
-        if kind == "alias":
-            refs = [
-                resolve_ref(program, self._required_param(query, "a"), fn),
-                resolve_ref(program, self._required_param(query, "b"), fn),
-            ]
-        else:
-            refs = [resolve_ref(
-                program, self._required_param(query, "target"), fn)]
-        dres = self._solve(entry, strategy_key, refs)
-        info = {
-            "widened": dres.widened,
-            "installed": dres.installed,
-            "demanded_objects": len(dres.demanded),
-            "demanded_facts": dres.stats.facts,
-            "source": dres.source,
-        }
-        return dres.result, info
 
     @staticmethod
     def _required_param(query: Dict[str, str], name: str) -> str:

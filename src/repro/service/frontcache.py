@@ -31,9 +31,7 @@ are never stored: the caller stores a program only after those checks.
 
 from __future__ import annotations
 
-import copyreg
 import hashlib
-import io
 import json
 import pickle
 import threading
@@ -43,7 +41,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..diag import DiagnosticSink
 from ..ir.program import Program
-from ..ir.refs import FieldRef, OffsetRef
 
 __all__ = ["FrontendCache", "frontend_key"]
 
@@ -66,20 +63,6 @@ def frontend_key(
     else:
         doc = ["source", name, strict, source]
     return hashlib.sha256(json.dumps(doc).encode("ascii")).digest()
-
-
-class _Pickler(pickle.Pickler):
-    """Pickles refs by ``(obj, path|offset)`` alone.
-
-    A ref caches its hash, computed from ``id(obj)``, and its fact-base
-    interning slots; carried into a copy whose objects live at other
-    addresses, the cached hash would stop matching a freshly built equal
-    ref.  Leaving the caches out makes each copy compute its own.
-    """
-
-    dispatch_table = copyreg.dispatch_table.copy()
-    dispatch_table[FieldRef] = lambda r: (FieldRef, (r.obj, r.path))
-    dispatch_table[OffsetRef] = lambda r: (OffsetRef, (r.obj, r.offset))
 
 
 class FrontendCache:
@@ -113,9 +96,8 @@ class FrontendCache:
         The pair is pickled together so that ``program.diagnostics``
         stays the sink's own record list in every copy.
         """
-        buf = io.BytesIO()
-        _Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump((program, sink))
-        data = zlib.compress(buf.getbuffer(), 1)
+        data = zlib.compress(
+            pickle.dumps((program, sink), pickle.HIGHEST_PROTOCOL), 1)
         if len(data) > self.max_bytes:
             return
         with self._lock:

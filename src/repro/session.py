@@ -63,14 +63,40 @@ from .core.strategy import Strategy
 from .core.worklist import Worklist
 from .diag import DiagnosticSink
 from .ir.program import Program
+from .ir.refs import FieldRef
 from .ir.stmts import Stmt
 
-__all__ = ["AnalysisSession"]
+__all__ = ["AnalysisSession", "resolve_target"]
 
 #: Engine-cache key: strategy class + ABI name (what ``repro.store``
 #: keys results on), trace flag, worklist policy, propagation-backend
 #: name.
 _CacheKey = Tuple[type, str, bool, object, str]
+
+
+def resolve_target(program: Program, text: str) -> FieldRef:
+    """Parse ``name`` or ``name.field.path`` into a FieldRef of ``program``.
+
+    A bare name that is not a global falls back to the unique
+    function-local spelling ``fn::name``, matched by suffix (the CLI's
+    ``-q`` convention).  Raises ``KeyError`` when nothing matches, or
+    when several functions have a local of that name.
+    """
+    parts = text.split(".")
+    name = parts[0]
+    obj = program.objects.lookup(name)
+    if obj is None:
+        suffix = f"::{name}"
+        matches = [o.name for o in program.objects.all_objects()
+                   if o.name.endswith(suffix)]
+        if len(matches) > 1:
+            raise KeyError(f"ambiguous object name {name!r} in "
+                           f"{program.name}: {sorted(matches)}")
+        if matches:
+            obj = program.objects.lookup(matches[0])
+    if obj is None:
+        raise KeyError(f"no object named {name!r} in {program.name}")
+    return FieldRef(obj, tuple(parts[1:]))
 
 
 class AnalysisSession:
@@ -281,43 +307,8 @@ class AnalysisSession:
             self._persist(result)
         return result
 
-    def solve_modular(
-        self,
-        strategy: Strategy,
-        worklist: Union[str, Worklist] = "priority",
-        backend: Union[str, PropagationBackend, None] = None,
-    ):
-        """Bottom-up modular solve (:mod:`repro.core.modular`).
-
-        Computes exactly the same fixpoint as :meth:`solve` — staged
-        over the callgraph SCC DAG — and additionally returns
-        per-function summaries.  Returns a
-        :class:`~repro.core.modular.ModularResult`; its ``.result`` is
-        a normal :class:`Result`.  Not cached (each call re-solves):
-        the modular mode exists for its summaries and its schedule, the
-        cached path is :meth:`solve`.
-        """
-        from .core.modular import solve_modular
-
-        if backend is None:
-            backend = self.backend
-        mres = solve_modular(
-            self.program,
-            strategy,
-            max_facts=self.max_facts,
-            assume_valid_pointers=self.assume_valid_pointers,
-            worklist=worklist,
-            backend=backend,
-            diagnostics=self.diagnostics,
-        )
-        if self.store is not None:
-            # Persist the fixpoint together with the per-function
-            # summaries, so a later warm start recovers both.
-            self._persist(mres.result, list(mres.summaries.values()))
-        return mres
-
     # ------------------------------------------------------------------
-    # Demand answers and the content-addressed store.
+    # The content-addressed store.
     # ------------------------------------------------------------------
     def _store_key(self, strategy: Strategy) -> str:
         """:func:`repro.store.store_key` of ``strategy`` over the current
@@ -333,12 +324,12 @@ class AnalysisSession:
             )
         return key
 
-    def _persist(self, result: Result, summaries=None) -> None:
-        """Write ``result`` (and modular ``summaries``) to the store."""
+    def _persist(self, result: Result) -> None:
+        """Write ``result`` to the store."""
         self.store.put(
             self.program, result, strict=self.strict,
             assume_valid_pointers=self.assume_valid_pointers,
-            summaries=summaries, diagnostics=self.diagnostics,
+            diagnostics=self.diagnostics,
             key=self._store_key(result.strategy),
         )
 
@@ -380,86 +371,6 @@ class AnalysisSession:
         self._warm_keys.add(key)
         return stored.result
 
-    def solve_demand(
-        self,
-        strategy: Strategy,
-        queries,
-        worklist: Union[str, Worklist] = "priority",
-        backend: Union[str, PropagationBackend, None] = None,
-    ):
-        """Answer ``queries`` from the session's exhaustive fixpoint.
-
-        ``queries`` is an iterable of :class:`AbstractObject`s and/or
-        refs (see :func:`repro.core.demand.query_refs`; an object of
-        another program raises ``KeyError``).  Returns a
-        :class:`~repro.core.demand.DemandResult` over the fixpoint
-        :meth:`solve` returns for this configuration; its ``source``
-        says where that fixpoint came from:
-
-        1. ``"cache"`` — the session's own result (solved earlier or
-           warm-started); counted in :attr:`solve_cache_hits`;
-        2. ``"store"`` — the attached store (:meth:`warm_start`);
-        3. ``"solve"`` — a fresh exhaustive solve, cached and persisted
-           like any other, so the next query on the session is a cache
-           hit.
-
-        Every non-function object is exact, ``installed`` is the
-        program's statement count and ``widened`` is False.  The
-        demand-restricted solver (:func:`repro.core.demand.solve_demand`)
-        stays a library: a demand solve is not the exhaustive fixpoint,
-        so a plain query after it would solve again.
-        """
-        from .core.demand import query_refs
-
-        query_refs(self.program, queries)
-        hits, loads = self.solve_cache_hits, self.store_hits
-        full = self.solve(strategy, worklist=worklist, backend=backend)
-        if self.solve_cache_hits > hits:
-            source = "cache"
-        elif self.store_hits > loads:
-            source = "store"
-        else:
-            source = "solve"
-        return self._exhaustive_answer(full, source)
-
-    def _exhaustive_answer(self, result: Result, source: str):
-        """A :class:`~repro.core.demand.DemandResult` over an exhaustive
-        fixpoint: everything is installed, every object exact."""
-        from .core.demand import DemandResult
-        from .ir.objects import ObjKind
-
-        return DemandResult(
-            result=result,
-            demanded=frozenset(
-                o for o in self.program.objects.all_objects()
-                if o.kind is not ObjKind.FUNCTION
-            ),
-            installed=self.program.stmt_count(),
-            widened=False,
-            source=source,
-        )
-
-    def _resolve_target(self, text: str):
-        """Parse ``name`` or ``name.field.path`` into a FieldRef.
-
-        A bare name that is not a global falls back to the unique
-        function-local spelling (``f::x`` matched by suffix) — the CLI's
-        ``-q`` convention.
-        """
-        from .ir.refs import FieldRef
-
-        parts = text.split(".")
-        name = parts[0]
-        obj = self.program.objects.lookup(name)
-        if obj is None:
-            for candidate in self.program.objects.all_objects():
-                if candidate.name.endswith(f"::{name}"):
-                    obj = candidate
-                    break
-        if obj is None:
-            raise KeyError(f"no object named {name!r} in {self.program.name}")
-        return FieldRef(obj, tuple(parts[1:]))
-
     def query(
         self,
         targets,
@@ -484,7 +395,7 @@ class AnalysisSession:
         labeled = {}
         for t in targets:
             if isinstance(t, str):
-                labeled[t] = self._resolve_target(t)
+                labeled[t] = resolve_target(self.program, t)
             elif isinstance(t, AbstractObject):
                 labeled[t.name] = t
             else:

@@ -1,8 +1,7 @@
-"""Content-addressed on-disk result/summary store.
+"""Content-addressed on-disk result store.
 
-:class:`ResultStore` persists solved points-to fixpoints (and optional
-modular :class:`~repro.core.modular.FunctionSummary` records) under a
-key that is a SHA-256 hash of everything that determines the fixpoint —
+:class:`ResultStore` persists solved points-to fixpoints under a key
+that is a SHA-256 hash of everything that determines the fixpoint —
 and *nothing* that does not:
 
 - the normalized program: the object table (names, kinds, and
@@ -33,12 +32,11 @@ instead of masquerading as corruption.  ``put`` likewise warns
 (kind ``store-write-failed``) instead of raising on I/O errors — the
 store is a cache, never a correctness dependency.
 
-Facts are serialized as a table of distinct ref specs — the same
+Facts are serialized as a table of distinct ref specs —
 ``("F", object-name, field-path)`` / ``("O", object-name, byte-offset)``
-shapes the modular mode ships to worker processes — plus index-pair
-edges over that table, so an entry written by one process rebuilds on a
-*fresh parse* of the same source in another process: object names are
-the join key, identity is re-established through
+— plus index-pair edges over that table, so an entry written by one
+process rebuilds on a *fresh parse* of the same source in another
+process: object names are the join key, identity is re-established through
 ``program.objects.lookup``, and each distinct ref is resolved exactly
 once regardless of how many edges mention it.  Stored refs are the
 strategy's own canonical refs, so a load only re-interns them
@@ -60,7 +58,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.facts import FactBase
-from ..core.modular import FunctionSummary
 from ..core.result import Result
 from ..core.stats import EngineStats
 from ..core.strategy import Strategy
@@ -168,7 +165,7 @@ def store_key(
 
 
 # ----------------------------------------------------------------------
-# Fact (de)serialization — the modular-mode spec format, JSON-shaped.
+# Fact (de)serialization — ref specs, JSON-shaped.
 # ----------------------------------------------------------------------
 def _spec_of(ref: Ref) -> Optional[List]:
     if isinstance(ref, FieldRef):
@@ -190,12 +187,6 @@ def _ref_of_spec(spec, program: Program) -> Optional[Ref]:
     return None
 
 
-def _checked_int(value) -> int:
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _stats_of(raw) -> EngineStats:
     if not isinstance(raw, dict):
         raise ValueError("stats is not an object")
@@ -209,26 +200,12 @@ def _stats_of(raw) -> EngineStats:
     return stats
 
 
-def _summary_of(raw) -> FunctionSummary:
-    if not isinstance(raw, dict) or not isinstance(raw["params"], dict):
-        raise ValueError(f"malformed summary: {raw!r}")
-    return FunctionSummary(
-        name=raw["name"], scc=_checked_int(raw["scc"]),
-        level=_checked_int(raw["level"]),
-        params={k: list(v) for k, v in raw["params"].items()},
-        returns=list(raw["returns"]),
-    )
-
-
 class StoredResult:
-    """A warm-started :class:`~repro.core.result.Result` plus the
-    modular summaries that were persisted alongside it (if any)."""
+    """A warm-started :class:`~repro.core.result.Result` and its key."""
 
-    def __init__(self, key: str, result: Result,
-                 summaries: Optional[List[FunctionSummary]]) -> None:
+    def __init__(self, key: str, result: Result) -> None:
         self.key = key
         self.result = result
-        self.summaries = summaries
 
 
 class ResultStore:
@@ -273,7 +250,6 @@ class ResultStore:
         *,
         strict: bool = True,
         assume_valid_pointers: bool = True,
-        summaries: Optional[List[FunctionSummary]] = None,
         diagnostics: Optional[DiagnosticSink] = None,
         key: Optional[str] = None,
     ) -> Optional[str]:
@@ -331,7 +307,6 @@ class ResultStore:
             "refs": refs,
             "adjacency": adjacency,
             "stats": result.stats.as_dict(),
-            "summaries": [s.as_dict() for s in summaries] if summaries else None,
         }
         path = self.path_for(key)
         tmp = path.with_suffix(".json.tmp")
@@ -425,10 +400,6 @@ class ResultStore:
             stats = _stats_of(payload["stats"])
             stats.store_hits = 1
             stats.store_misses = 0
-            raw = payload.get("summaries")
-            summaries = None
-            if raw is not None:
-                summaries = [_summary_of(s) for s in raw]
         except _CORRUPT as err:
             self.misses += 1
             self._warn("store-corrupt",
@@ -439,4 +410,4 @@ class ResultStore:
         self.hits += 1
         result = Result(program=program, strategy=strategy,
                         facts=facts, stats=stats)
-        return StoredResult(key, result, summaries)
+        return StoredResult(key, result)

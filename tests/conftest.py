@@ -27,6 +27,30 @@ def _collector_state_unchanged():
         pytest.fail(f"gc.isenabled() went from {before} to {after}")
 
 
+@pytest.fixture
+def broken_import(monkeypatch):
+    """``broken_import(name)`` makes importing ``name`` raise
+    ``RuntimeError`` until the test ends: the module leaves
+    ``sys.modules`` and a ``sys.meta_path`` finder that raises for it
+    goes first.  Both are restored afterwards."""
+    import sys
+
+    class _Raising:
+        def __init__(self, name):
+            self.name = name
+
+        def find_spec(self, fullname, path=None, target=None):
+            if fullname == self.name:
+                raise RuntimeError(f"{fullname} failed while importing")
+            return None
+
+    def install(name):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+        monkeypatch.setattr(sys, "meta_path", [_Raising(name)] + sys.meta_path)
+
+    return install
+
+
 def pts(result, name):
     """Points-to set (as sorted repr strings) of the named object."""
     obj = result.program.objects.lookup(name)

@@ -176,6 +176,20 @@ def test_numpy_falls_back_without_numpy(monkeypatch) -> None:
     assert set(res.facts.all_facts()) == set(base.facts.all_facts())
 
 
+def test_numpy_probe_propagates_errors_other_than_import_error(
+        monkeypatch, broken_import) -> None:
+    """Only an ImportError means "numpy is absent"; a module that breaks
+    while importing is a bug to surface, not a fallback."""
+    import repro.core.backend as backend_mod
+
+    monkeypatch.setattr(backend_mod, "_np_module", None)
+    monkeypatch.setattr(backend_mod, "_np_checked", False)
+    broken_import("numpy")
+    with pytest.raises(RuntimeError, match="numpy failed"):
+        backend_mod.available_numpy()
+    assert not backend_mod._np_checked
+
+
 def test_numpy_falls_back_below_dense_threshold() -> None:
     """Tiny graphs never pay dense-round overhead (default threshold)."""
     res = analyze(_cycle_program(), CommonInitialSequence(), backend="numpy")

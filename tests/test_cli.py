@@ -43,8 +43,10 @@ class TestCLI:
         assert "s.s2 -> ['y']" in out
 
     def test_query_unknown_name(self, c_file, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc_info:
             main([c_file, "-q", "zzz"])
+        assert str(exc_info.value.code).startswith(
+            "error: no object named 'zzz'")
 
     def test_strategy_choice(self, c_file, capsys):
         rc, out = run_cli([c_file, "-s", "collapse_always", "-q", "p"], capsys)
@@ -111,6 +113,35 @@ class TestCLI:
         assert "docs/service.md" in text
         assert "explain" in text
         assert "docs/observability.md" in text
+
+    @pytest.mark.parametrize("flag", ["--demand", "--modular"])
+    def test_retired_answer_flags_are_usage_errors(self, c_file, flag,
+                                                   capsys):
+        # A plain run answers every query; these flags are gone.
+        with pytest.raises(SystemExit) as exc_info:
+            main([c_file, "-q", "p", flag])
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_query_ambiguous_local_name(self, tmp_path):
+        f = tmp_path / "amb.c"
+        f.write_text("int a, b;\n"
+                     "void f(void) { int *x; x = &a; }\n"
+                     "void g(void) { int *x; x = &b; }\n")
+        with pytest.raises(SystemExit) as exc_info:
+            main([str(f), "-q", "x"])
+        assert "ambiguous object name 'x'" in str(exc_info.value.code)
+
+    def test_profile_counter_line(self, c_file, capsys):
+        rc = main([c_file, "-q", "p", "--profile"])
+        err = capsys.readouterr().err
+        assert rc == 0
+        line = next(ln for ln in err.splitlines()
+                    if ln.startswith("# backend:"))
+        assert "store_hits: 0" in line
+        for retired in ("summaries_computed", "demanded_facts",
+                        "demand_widenings"):
+            assert retired not in line
 
 
 class TestStrictAndLenientCLI:

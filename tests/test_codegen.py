@@ -237,6 +237,16 @@ def test_load_accel_accepts_matching_api_version(accel_seam):
     assert codegen_mod.load_accel() is fake
 
 
+def test_load_accel_propagates_errors_other_than_import_error(
+        accel_seam, broken_import):
+    """Only an ImportError means "not built"; a built module that breaks
+    while importing is a bug to surface, not a fallback."""
+    broken_import("repro.core._accel")
+    with pytest.raises(RuntimeError, match="_accel failed"):
+        codegen_mod.load_accel()
+    assert not codegen_mod._accel_checked
+
+
 def test_accel_backend_is_codegen_plus_seam():
     assert issubclass(AccelBackend, CodegenBackend)
     assert AccelBackend.name == "accel"

@@ -206,3 +206,43 @@ class TestResultHelpers:
         assert isinstance(st, Copy)
         with pytest.raises(TypeError):
             r.pointer_of_deref(st)
+
+
+class TestRefCopies:
+    """A copied or unpickled ref rebuilds from ``(obj, path|offset)``:
+    its hash comes from the copy's object, not the original's address."""
+
+    @staticmethod
+    def _copies(pair):
+        import copy
+        import pickle
+
+        yield copy.deepcopy(pair)
+        yield pickle.loads(pickle.dumps(pair))
+
+    @pytest.mark.parametrize("make", [
+        lambda obj: FieldRef(obj, ("a",)),
+        lambda obj: OffsetRef(obj, 4),
+    ], ids=["field", "offset"])
+    def test_hashed_ref_copied_with_its_object(self, objs, make):
+        obj = objs.global_var("s", int_t)
+        ref = make(obj)
+        hash(ref)
+        FactBase().intern(ref)              # fills the interning slots
+        for copied_obj, copied in self._copies((obj, ref)):
+            assert copied.obj is copied_obj and copied_obj is not obj
+            fresh = make(copied_obj)
+            assert copied == fresh
+            assert fresh in {copied} and copied in {fresh}
+            assert {copied: 1}[fresh] == 1
+            assert not hasattr(copied, "_fb")
+
+    def test_shallow_copy_keeps_the_object(self, objs):
+        import copy
+
+        obj = objs.global_var("s", int_t)
+        ref = FieldRef(obj, ("a",))
+        hash(ref)
+        dup = copy.copy(ref)
+        assert dup is not ref and dup.obj is obj and dup == ref
+        assert hash(dup) == hash(ref)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AnalysisSession, CommonInitialSequence
+from repro import CommonInitialSequence
 from repro.bench.harness import _UNGATED_STATS, load_program
 from repro.clients.derefstats import deref_stats
 from repro.core import ALL_STRATEGIES, Engine
@@ -112,15 +112,6 @@ def test_summaries_capture_param_and_return_pointees():
     assert leaf.params["leaf::x"] == ["main::v"]
     assert leaf.returns == ["main::v"]
     assert mod.summaries["main"].returns == []
-
-
-def test_session_solve_modular():
-    session = AnalysisSession.from_c(RECURSIVE, "rec.c")
-    mod = session.solve_modular(CommonInitialSequence())
-    whole = session.solve(CommonInitialSequence())
-    assert sorted(map(repr, mod.facts.all_facts())) == \
-        sorted(map(repr, whole.facts.all_facts()))
-    assert mod.stats.summaries_computed == 4
 
 
 def test_counters_flow_through_stats_dict():

@@ -463,6 +463,10 @@ class TestQueryFootprint:
 
 
 class TestDemandQueries:
+    """``demand=1`` is not a parameter of the query route: like any other
+    unrecognised parameter it is ignored, and the answer is the plain
+    query's."""
+
     def test_demand_points_to_matches_exhaustive(self):
         app = ServiceApp(ServiceConfig(pool_size=4))
         sid = create(app)["session"]["id"]
@@ -475,8 +479,9 @@ class TestDemandQueries:
         assert status == status2 == 200
         assert dem["points_to"] == full["points_to"]
         assert dem["names"] == full["names"]
-        assert dem["demand"]["demanded_facts"] > 0
-        assert "demand" not in full
+        assert "demand" not in dem and "demand" not in full
+        del dem["session"], full["session"]
+        assert dem == full
 
     def test_demand_alias_round_trip(self):
         app = ServiceApp(ServiceConfig(pool_size=4))
@@ -486,7 +491,7 @@ class TestDemandQueries:
             {"kind": "alias", "a": "p", "b": "s.s1", "demand": "true"})
         assert status == 200, payload
         assert payload["may_point_to_same"] is True
-        assert "demand" in payload
+        assert "demand" not in payload
 
     def test_demand_ignored_for_whole_program_kinds(self):
         app = ServiceApp(ServiceConfig(pool_size=4))
@@ -508,39 +513,45 @@ class TestDemandQueries:
 
 
 class TestDemandSource:
-    """The ``demand`` block names where the exhaustive fixpoint came
-    from: the session's cache, the store, or a solve."""
+    """A query is answered from the session's cached fixpoint, else the
+    store, else one solve — ``demand=1`` or not."""
 
     def test_source_follows_the_lookup_order(self, tmp_path):
         config = ServiceConfig(pool_size=4, store=str(tmp_path))
         app = ServiceApp(config)
         query = {"target": "p", "demand": "1"}
 
-        def solves():
-            return app.handle("GET", "/metrics")[1]["server"]["solves"]
+        def server():
+            return app.handle("GET", "/metrics")[1]["server"]
+
+        def store_hits(sid):
+            doc = app.handle("GET", f"/v1/sessions/{sid}")[1]["session"]
+            return doc["store"]["hits"]
 
         sid = create(app)["session"]["id"]
-        before = solves()
+        before = server()
         status, first = app.handle("GET", f"/v1/sessions/{sid}/query", query)
-        assert status == 200 and first["demand"]["source"] == "solve"
+        assert status == 200 and "demand" not in first
+        after = server()
+        # The first query solved once and found nothing in the store.
+        assert after["solves"] == before["solves"] + 1
+        assert after["solve_cache_hits"] == before["solve_cache_hits"]
+        assert store_hits(sid) == 0
         status, full = app.handle("GET", f"/v1/sessions/{sid}/query",
                                   {"target": "p"})
-        assert status == 200
-        # The demand query solved once; the plain query was a cache hit.
-        assert solves() == before + 1
         status, cached = app.handle("GET", f"/v1/sessions/{sid}/query", query)
-        statements = app.handle("GET", f"/v1/sessions/{sid}")[1][
-            "session"]["statements"]
-        demand = cached["demand"]
-        assert demand["source"] == "cache" and not demand["widened"]
-        assert demand["installed"] == statements
-        assert first["demand"]["installed"] == statements
-        assert demand["demanded_facts"] == first["demand"]["demanded_facts"]
+        # Both later queries were cache hits, not solves.
+        final = server()
+        assert final["solves"] == after["solves"]
+        assert final["solve_cache_hits"] == after["solve_cache_hits"] + 2
 
         sid2 = create(app)["session"]["id"]
         status, stored = app.handle("GET", f"/v1/sessions/{sid2}/query", query)
-        assert status == 200 and stored["demand"]["source"] == "store"
-        assert stored["demand"]["installed"] == statements
+        # A new session over the same program loads the stored fixpoint:
+        # no solve, no solve-cache hit, one store hit.
+        assert status == 200 and store_hits(sid2) == 1
+        assert server()["solves"] == final["solves"]
+        assert server()["solve_cache_hits"] == final["solve_cache_hits"]
         for answer in (first, cached, stored):
             assert answer["names"] == full["names"]
 

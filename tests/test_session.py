@@ -23,6 +23,7 @@ from repro.core.worklist import FifoWorklist, PriorityWorklist, WORKLISTS
 from repro.ctype.layout import ILP32, LP64, Layout
 from repro.ir.refs import FieldRef
 from repro.ir.stmts import AddrOf
+from repro.session import resolve_target
 
 SRC = """
 struct S { int *s1; int *s2; } s;
@@ -211,137 +212,43 @@ class TestBackendPinning:
             AnalysisSession.from_c(SRC)
 
 
-# A separable program: ``p`` needs ``s`` but not ``q``'s statement.
-DEMAND_SRC = """
+LOCALS_SRC = """
 struct S { int *s1; int *s2; } s;
-int x, y, z, *p, *q;
-void main(void) { s.s1 = &x; p = s.s1; q = &z; }
+int x, *p;
+void f(void) { int *loc; loc = &x; }
+void main(void) { s.s1 = &x; p = s.s1; }
 """
 
 
-def _no_demand_solve(monkeypatch):
-    """Make any call of ``repro.core.demand.solve_demand`` fail."""
-    import repro.core.demand as demand
+class TestResolveTarget:
+    """One resolver serves ``query``, the CLI's ``-q`` and ``explain``."""
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("solve_demand ran although the fixpoint was held")
+    def test_global_names_and_field_paths(self):
+        program = program_from_c(LOCALS_SRC)
+        ref = resolve_target(program, "s.s1")
+        assert ref == FieldRef(program.objects.lookup("s"), ("s1",))
+        assert resolve_target(program, "p") == FieldRef(
+            program.objects.lookup("p"), ())
 
-    monkeypatch.setattr(demand, "solve_demand", forbidden)
+    def test_locals_fall_back_to_the_function_spelling(self):
+        program = program_from_c(LOCALS_SRC)
+        ref = resolve_target(program, "loc")
+        assert ref.obj.name == "f::loc" and ref.path == ()
 
+    def test_a_local_of_several_functions_is_ambiguous(self):
+        program = program_from_c(LOCALS_SRC + "void g(void) { int *loc; }")
+        with pytest.raises(KeyError, match="ambiguous"):
+            resolve_target(program, "loc")
+        assert resolve_target(program, "g::loc").obj.name == "g::loc"
 
-def _answers(result, program):
-    """Every non-function object's points-to names, keyed by name."""
-    from repro.ir.objects import ObjKind
+    def test_unknown_names_raise_key_error(self):
+        program = program_from_c(LOCALS_SRC)
+        with pytest.raises(KeyError, match="ghost"):
+            resolve_target(program, "ghost")
 
-    return {
-        o.name: result.points_to_names(FieldRef(o, ()))
-        for o in program.objects.all_objects()
-        if o.kind is not ObjKind.FUNCTION
-    }
-
-
-class TestSolveDemand:
-    """``AnalysisSession.solve_demand`` answers from the exhaustive
-    fixpoint: the session's result, then the store, then a solve."""
-
-    def test_cached_exhaustive_result_answers(self, monkeypatch):
-        session = AnalysisSession.from_c(DEMAND_SRC)
-        strategy = CommonInitialSequence()
-        full = session.solve(strategy)
-        _no_demand_solve(monkeypatch)
-        hits = session.solve_cache_hits
-        p = _obj(session, "p")
-        dres = session.solve_demand(strategy, [p])
-        assert dres.source == "cache"
-        assert dres.result is full
-        assert session.solve_cache_hits == hits + 1
-        assert not dres.widened
-        assert dres.installed == session.program.stmt_count()
-        assert p in dres.demanded and _obj(session, "q") in dres.demanded
-        assert dres.points_to_names(p) == {"x"}
-
-    def test_store_answers_a_fresh_session(self, tmp_path, monkeypatch):
-        strategy = CommonInitialSequence()
-        cold = AnalysisSession.from_c(DEMAND_SRC, store=str(tmp_path))
-        full = cold.solve(strategy)
-        warm = AnalysisSession.from_c(DEMAND_SRC, store=str(tmp_path))
-        _no_demand_solve(monkeypatch)
-        dres = warm.solve_demand(strategy, [_obj(warm, "p")])
-        assert dres.source == "store"
-        assert warm.store_hits == 1 and warm.store_misses == 0
-        assert not dres.widened
-        assert dres.installed == warm.program.stmt_count()
-        assert _answers(dres.result, warm.program) == _answers(
-            full, cold.program)
-        # The loaded fixpoint is now the session's cached result.
-        hits = warm.solve_cache_hits
-        assert warm.solve(strategy) is dres.result
-        assert warm.solve_cache_hits == hits + 1
-        assert warm.store_hits == 1
-
-    @pytest.mark.parametrize("with_store", [False, True],
-                             ids=["no-store", "empty-store"])
-    def test_demand_solve_without_finished_work(self, tmp_path, with_store,
-                                                monkeypatch):
-        store = str(tmp_path) if with_store else None
-        session = AnalysisSession.from_c(DEMAND_SRC, store=store)
-        _no_demand_solve(monkeypatch)
-        p = _obj(session, "p")
-        dres = session.solve_demand(CommonInitialSequence(), [p])
-        assert dres.source == "solve"
-        assert not dres.widened
-        assert dres.installed == session.program.stmt_count()
-        assert dres.points_to_names(p) == {"x"}
-        assert session.solve_cache_hits == 0
-        assert session.store_misses == (1 if with_store else 0)
-        # A repeat of the same query is a cache hit on the solved result.
-        again = session.solve_demand(CommonInitialSequence(), [p])
-        assert again.source == "cache" and again.result is dres.result
-        assert session.solve_cache_hits == 1
-
-    def test_cold_demand_then_solve_builds_one_engine(self, monkeypatch):
-        import repro.session as session_mod
-
-        built = []
-
-        class CountingEngine(session_mod.Engine):
-            def __init__(self, *args, **kwargs):
-                built.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(session_mod, "Engine", CountingEngine)
-        session = AnalysisSession.from_c(DEMAND_SRC)
-        strategy = CommonInitialSequence()
-        dres = session.solve_demand(strategy, [_obj(session, "p")])
-        hits = session.solve_cache_hits
-        full = session.solve(strategy)
-        assert len(built) == 1
-        assert session.solve_cache_hits == hits + 1
-        assert full is dres.result
-
-    @pytest.mark.parametrize("first", ["cache", "store", "demand"])
-    def test_answers_follow_growth(self, tmp_path, first):
-        # ``demand`` starts from nothing held: the first answer is a solve.
-        strategy = CommonInitialSequence()
-        if first == "store":
-            AnalysisSession.from_c(DEMAND_SRC, store=str(tmp_path)).solve(
-                strategy)
-        session = AnalysisSession.from_c(
-            DEMAND_SRC, store=str(tmp_path) if first == "store" else None)
-        if first == "cache":
-            session.solve(strategy)
-        p, q, y = _obj(session, "p"), _obj(session, "q"), _obj(session, "y")
-        assert session.solve_demand(strategy, [p]).source == (
-            "solve" if first == "demand" else first)
-        session.add_statements(
-            [AddrOf(p, FieldRef(y, ())), AddrOf(q, FieldRef(y, ()))],
-            function="main")
-        dres = session.solve_demand(strategy, [p, q])
-        fresh = analyze(session.program, CommonInitialSequence())
-        for obj in (p, q):
-            assert dres.points_to(obj) == fresh.points_to(obj)
-        assert dres.points_to_names(p) == {"x", "y"}
-        # A live engine re-drains; a warm result is dropped and re-solved.
-        assert dres.source == ("solve" if first == "store" else "cache")
-        assert _answers(dres.result, session.program) == _answers(
-            fresh, session.program)
+    def test_query_answers_through_it(self):
+        session = AnalysisSession.from_c(LOCALS_SRC)
+        assert session.query(["loc", "s.s1"]) == {
+            "loc": ["x"], "s.s1": ["x"]}
+        with pytest.raises(KeyError):
+            session.query(["ghost"])

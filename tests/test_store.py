@@ -123,18 +123,6 @@ def test_round_trip_every_strategy(tmp_path, key) -> None:
     _assert_round_trip(tmp_path, key)
 
 
-def test_modular_summaries_round_trip(tmp_path) -> None:
-    session = AnalysisSession.from_c(SRC, store=str(tmp_path))
-    mres = session.solve_modular(CommonInitialSequence())
-    warm = AnalysisSession.from_c(SRC, store=str(tmp_path))
-    stored = warm.store.load(warm.program, CommonInitialSequence())
-    assert stored is not None
-    by_name = {s.name: s for s in stored.summaries}
-    assert by_name.keys() == mres.summaries.keys()
-    for name, summary in mres.summaries.items():
-        assert by_name[name].as_dict() == summary.as_dict()
-
-
 def test_session_warm_start_and_dropping_on_growth(tmp_path) -> None:
     st = CommonInitialSequence()
     cold = AnalysisSession.from_c(SRC, store=str(tmp_path))
@@ -246,14 +234,6 @@ def _corruptions(payload_text: str):
     doc = json.loads(payload_text)
     doc["stats"]["facts"] = "many"                      # stat not a number
     yield json.dumps(doc)
-    doc = json.loads(payload_text)
-    doc["summaries"] = [{"name": "main", "scc": 0, "level": 0,
-                         "params": [], "returns": []}]  # params not a map
-    yield json.dumps(doc)
-    doc = json.loads(payload_text)
-    doc["summaries"] = [{"name": "main", "scc": float("inf"), "level": 0,
-                         "params": {}, "returns": []}]  # scc not an int
-    yield json.dumps(doc)
 
 
 def test_corrupted_entries_degrade_to_miss_with_warning(tmp_path) -> None:
@@ -275,6 +255,27 @@ def test_corrupted_entries_degrade_to_miss_with_warning(tmp_path) -> None:
     # The pristine entry still loads (the store object is not poisoned).
     path.write_text(pristine)
     assert store.load(prog, strategy) is not None
+
+
+def test_entries_with_old_summary_records_still_load(tmp_path) -> None:
+    """Entries once carried a ``summaries`` list; the key text and
+    version are unchanged, so such an entry loads and the list is
+    ignored, well-formed or not."""
+    prog, strategy, res = _solved()
+    store = ResultStore(tmp_path)
+    key = store.put(prog, res)
+    path = store.path_for(key)
+    doc = json.loads(path.read_text())
+    assert "summaries" not in doc
+    for summaries in (None, [{"name": "main", "scc": 0, "level": 0,
+                              "params": {}, "returns": []}], "junk"):
+        doc["summaries"] = summaries
+        path.write_text(json.dumps(doc))
+        sink = DiagnosticSink()
+        loaded = store.load(prog, strategy, diagnostics=sink)
+        assert loaded is not None and not sink.records
+        assert set(loaded.result.facts.all_facts()) == set(
+            res.facts.all_facts())
 
 
 def test_programming_error_in_load_propagates(tmp_path, monkeypatch) -> None:

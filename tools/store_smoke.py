@@ -10,13 +10,12 @@ from inside one interpreter:
    command in a fresh process* warm-starts (``1 hit(s), 0 miss(es)``)
    and prints byte-identical points-to answers;
 2. **server crash/restart**: a ``python -m repro serve --store DIR``
-   instance answers a session's first ``demand=1`` query with one
-   exhaustive solve (``demand.source == "solve"``; the plain query
-   after it leaves ``/metrics`` ``solves`` unchanged), is SIGKILLed (no
-   clean shutdown, no in-memory state survives), and a rebooted server
-   over the same directory answers the same query from the store — a
-   ``demand=1`` query reports ``demand.source == "store"``,
-   ``store_hits > 0`` in the session document, identical names;
+   instance answers a session's first query with one solve (``/metrics``
+   ``solves`` rises by 1; a second query leaves it unchanged), is
+   SIGKILLed (no clean shutdown, no in-memory state survives), and a
+   rebooted server over the same directory answers the same query from
+   the store — the first query leaves ``solves`` at 0, the session
+   document shows ``store.hits == 1``, and the names are identical;
 3. **latency**: an in-process warm start is at least 5x faster than the
    cold solve it replaces (measured on a benchmark where the solve
    dominates; the ratio is asserted with margin for CI-load noise).
@@ -125,22 +124,24 @@ def check_server_restart(store: str) -> None:
     try:
         client = ServiceClient(url)
         sid = client.create_session(SOURCE, name="smoke.c")["session"]["id"]
-        # The first demand query solves the whole program once; the
-        # plain query after it is a cache hit, not a second solve.
-        answer = client.query(sid, "points_to", target="p", demand="1")
-        source = answer.get("demand", {}).get("source")
-        if source != "solve":
-            fail("server cold demand",
-                 f"demand.source = {source!r}, expected 'solve'")
-        solves = client.metrics()["server"]["solves"]
+        # The first query solves the whole program once; the second is a
+        # cache hit, not a second solve.
+        before = client.metrics()["server"]["solves"]
         cold = client.points_to(sid, "p")["names"]
-        if cold != ["x"] or answer["names"] != cold:
-            fail("server cold", f"p -> {cold} (demand: {answer['names']}), "
-                 f"expected ['x']")
+        solves = client.metrics()["server"]["solves"]
+        if solves != before + 1:
+            fail("server cold", f"the first query ran {solves - before} "
+                 f"solve(s), expected 1")
+        if cold != ["x"]:
+            fail("server cold", f"p -> {cold}, expected ['x']")
+        again = client.points_to(sid, "p")["names"]
         after = client.metrics()["server"]["solves"]
         if after != solves:
-            fail("server cold", f"the plain query after a demand query "
-                 f"solved again (solves {solves} -> {after})")
+            fail("server cold", f"the second query solved again "
+                 f"(solves {solves} -> {after})")
+        if again != cold:
+            fail("server cold", f"p -> {again} on the second query, "
+                 f"had {cold}")
     finally:
         proc.send_signal(signal.SIGKILL)           # crash, not shutdown
         proc.communicate(timeout=30)
@@ -149,28 +150,25 @@ def check_server_restart(store: str) -> None:
     try:
         client = ServiceClient(url)
         sid = client.create_session(SOURCE, name="smoke.c")["session"]["id"]
-        # A demand query is answered from the stored fixpoint, not by a
-        # demand solve.
-        answer = client.query(sid, "points_to", target="p", demand="1")
-        if answer["names"] != cold:
-            fail("server warm demand",
-                 f"p -> {answer['names']} after restart, had {cold}")
-        source = answer.get("demand", {}).get("source")
-        if source != "store":
-            fail("server warm demand",
-                 f"demand.source = {source!r}, expected 'store'")
+        # The first query after the restart loads the stored fixpoint:
+        # no solve, one store hit.
         warm = client.points_to(sid, "p")["names"]
         if warm != cold:
             fail("server warm", f"p -> {warm} after restart, had {cold}")
         doc = client.get_session(sid)["session"]
         hits = (doc.get("store") or {}).get("hits", 0)
-        if not hits:
-            fail("server warm", f"store_hits not visible: {doc.get('store')}")
+        if hits != 1:
+            fail("server warm", f"store.hits = {hits}, expected 1: "
+                 f"{doc.get('store')}")
+        solves = client.metrics()["server"]["solves"]
+        if solves != 0:
+            fail("server warm", f"solves = {solves} after the first query, "
+                 f"expected 0 (answered from the store)")
     finally:
         proc.send_signal(signal.SIGTERM)
         proc.communicate(timeout=30)
-    print(f"server restart ok: SIGKILL survived, {hits} store hit(s), "
-          f"identical answer {warm}, demand query from the store")
+    print(f"server restart ok: SIGKILL survived, {hits} store hit, "
+          f"no solve, identical answer {warm}")
 
 
 _PROBE = """\
