@@ -31,6 +31,7 @@ import pytest
 from repro.service import ServiceConfig, start_server
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.http import _Handler
+from repro.store import ResultStore
 from repro.suite.generator import ADVERSARIAL, generate_program
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -134,6 +135,76 @@ class TestWireContract:
         assert status == 400
         assert json.loads(data)["error"]["kind"] == "bad-request"
         assert server.app.counters.internal_errors == 0
+
+
+class TestPersistAfterDelete:
+    """A ``DELETE`` answers first; the session's re-drained results are
+    written to the store after the response, on the same thread."""
+
+    SRC = "int x, y, *p, *q;\nvoid main(void) { p = &x; }\n"
+    DELTA = [{"form": "copy", "lhs": "q", "rhs": "p"},
+             {"form": "addrof", "lhs": "p", "target": "y"}]
+
+    def _grown(self, client):
+        sid = client.create_session(self.SRC)["session"]["id"]
+        assert client.points_to(sid, "p")["names"] == ["x"]
+        client.add_statements(sid, self.DELTA)
+        assert client.points_to(sid, "q")["names"] == ["x", "y"]
+        return sid
+
+    def test_delete_answers_before_the_write(self, tmp_path, monkeypatch):
+        config = ServiceConfig(port=0, pool_size=4, store=str(tmp_path))
+        with start_server(config) as handle:
+            # A write on the request path would block the DELETE until
+            # the client gave up.
+            client = ServiceClient(handle.url, timeout=5)
+            sid = self._grown(client)
+            assert len(list(tmp_path.glob("*.json"))) == 1
+            entered, release = threading.Event(), threading.Event()
+            original = ResultStore.put
+
+            def blocking_put(self, *args, **kwargs):
+                entered.set()
+                release.wait(30)
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ResultStore, "put", blocking_put)
+            try:
+                assert client.delete_session(sid) == {"deleted": sid}
+                assert entered.wait(10)
+                assert len(list(tmp_path.glob("*.json"))) == 1
+            finally:
+                release.set()
+            deadline = time.monotonic() + 10
+            while (len(list(tmp_path.glob("*.json"))) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert len(list(tmp_path.glob("*.json"))) == 2
+
+    def test_a_failing_write_is_counted_and_the_connection_serves_on(
+            self, tmp_path, monkeypatch):
+        config = ServiceConfig(port=0, pool_size=4, store=str(tmp_path))
+        with start_server(config) as handle:
+            sid = self._grown(ServiceClient(handle.url))
+
+            def broken(self, *args, **kwargs):
+                raise RuntimeError("bug in put")
+
+            monkeypatch.setattr(ResultStore, "put", broken)
+            host, port = handle.server.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                conn.request("DELETE", f"/v1/sessions/{sid}")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert json.loads(resp.read()) == {"deleted": sid}
+                conn.request("GET", "/metrics")    # same connection
+                resp = conn.getresponse()
+                assert resp.status == 200
+                server = json.loads(resp.read())["server"]
+            finally:
+                conn.close()
+            assert server["internal_errors"] == 1
 
 
 class TestKeepAlive:

@@ -22,6 +22,7 @@ incremental path.
 
 from __future__ import annotations
 
+import random
 from typing import List, Optional, Tuple
 
 import pytest
@@ -31,7 +32,8 @@ from repro.bench.harness import _UNGATED_STATS, load_program
 from repro.clients.derefstats import deref_stats
 from repro.ir.program import Program
 from repro.ir.stmts import Stmt
-from repro.suite.registry import SUITE
+from repro.service.codec import statements_from_json
+from repro.suite.registry import SUITE, load_source
 
 #: Hold out every third statement (at least one per non-trivial list).
 HOLD_EVERY = 3
@@ -124,3 +126,47 @@ def test_incremental_with_fifo_worklist(cls, suite_programs):
     scratch = analyze(program, cls())
     assert set(incremental.facts.all_facts()) == set(scratch.facts.all_facts())
     assert _gated(incremental.stats) == _gated(scratch.stats)
+
+
+def _delta(name: str, program: Program, result) -> list:
+    """A two-statement JSON delta over named pointer variables with
+    non-empty points-to sets: a copy and an address-of, as a service
+    client sends one."""
+    from repro.ctype.types import PointerType
+    from repro.ir.objects import ObjKind
+
+    kinds = (ObjKind.GLOBAL, ObjKind.LOCAL, ObjKind.PARAM)
+    ptrs = sorted(o.name for o in program.objects.all_objects()
+                  if o.kind in kinds and isinstance(o.type, PointerType)
+                  and result.points_to(o))
+    rng = random.Random(name)
+    lhs, rhs = rng.sample(ptrs, 2)
+    return [{"form": "copy", "lhs": lhs, "rhs": rhs},
+            {"form": "addrof", "lhs": lhs, "target": rng.choice(ptrs)}]
+
+
+@pytest.mark.parametrize("cls", ALL_STRATEGIES, ids=lambda c: c.key)
+@pytest.mark.parametrize("bp", SUITE, ids=lambda bp: bp.name)
+def test_persisted_redrain_warm_starts_like_a_scratch_solve(bp, cls,
+                                                            tmp_path):
+    """A re-drained fixpoint written by ``persist_pending`` is what a
+    fresh session over the grown program loads, and it equals a
+    from-scratch solve of that program."""
+    source = load_source(bp)
+    grower = AnalysisSession.from_c(source, name=bp.filename,
+                                    store=str(tmp_path))
+    delta = _delta(bp.name, grower.program, grower.solve(cls()))
+    grower.add_statements(statements_from_json(grower.program, delta))
+    grower.persist_pending()
+
+    fresh = AnalysisSession.from_c(source, name=bp.filename,
+                                   store=str(tmp_path))
+    fresh.add_statements(statements_from_json(fresh.program, delta))
+    warm = fresh.solve(cls())
+    assert fresh.store_hits == 1
+    scratch = analyze(fresh.program, cls())
+
+    assert set(warm.facts.all_facts()) == set(scratch.facts.all_facts())
+    assert warm.facts.edge_count() == scratch.facts.edge_count()
+    assert _deref_profile(warm) == _deref_profile(scratch)
+    assert _gated(warm.stats) == _gated(scratch.stats)

@@ -16,7 +16,13 @@ from inside one interpreter:
    rebooted server over the same directory answers the same query from
    the store — the first query leaves ``solves`` at 0, the session
    document shows ``store.hits == 1``, and the names are identical;
-3. **latency**: an in-process warm start is at least 5x faster than the
+3. **re-drain crash/restart**: on a server over an empty store, a
+   session solves, takes a delta, answers from the re-drained fixpoint
+   and is deleted; the ``DELETE`` writes that fixpoint after answering.
+   After a SIGKILL and a reboot, a new session over the same source and
+   delta answers from the store — ``solves`` stays 0, the session
+   document shows ``store.hits == 1``, and the names are identical;
+4. **latency**: an in-process warm start is at least 5x faster than the
    cold solve it replaces (measured on a benchmark where the solve
    dominates; the ratio is asserted with margin for CI-load noise).
 
@@ -171,6 +177,62 @@ def check_server_restart(store: str) -> None:
           f"no solve, identical answer {warm}")
 
 
+#: A delta that grows ``SOURCE``'s ``p`` from ``{x}`` to ``{x, y}``.
+DELTA = [{"form": "addrof", "lhs": "p", "target": "y"}]
+
+
+def _entries(store: str) -> int:
+    return len(list(Path(store).glob("*.json")))
+
+
+def check_server_redrain(store: str) -> None:
+    proc, url = boot_server(store)
+    try:
+        client = ServiceClient(url)
+        sid = client.create_session(SOURCE, name="smoke.c")["session"]["id"]
+        client.points_to(sid, "p")                 # solve, written at once
+        client.add_statements(sid, DELTA)
+        grown = client.points_to(sid, "p")["names"]   # re-drained
+        if grown != ["x", "y"]:
+            fail("re-drain", f"p -> {grown} after the delta, "
+                 f"expected ['x', 'y']")
+        written = _entries(store)
+        client.delete_session(sid)
+        # The DELETE writes the re-drained fixpoint after it answers.
+        deadline = time.monotonic() + 30
+        while _entries(store) == written and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if _entries(store) != written + 1:
+            fail("re-drain", f"{_entries(store) - written} entries written "
+                 f"after DELETE, expected 1")
+    finally:
+        proc.send_signal(signal.SIGKILL)           # crash, not shutdown
+        proc.communicate(timeout=30)
+
+    proc, url = boot_server(store)
+    try:
+        client = ServiceClient(url)
+        sid = client.create_session(SOURCE, name="smoke.c")["session"]["id"]
+        client.add_statements(sid, DELTA)
+        warm = client.points_to(sid, "p")["names"]
+        if warm != grown:
+            fail("re-drain warm", f"p -> {warm} after restart, had {grown}")
+        doc = client.get_session(sid)["session"]
+        hits = (doc.get("store") or {}).get("hits", 0)
+        if hits != 1:
+            fail("re-drain warm", f"store.hits = {hits}, expected 1: "
+                 f"{doc.get('store')}")
+        solves = client.metrics()["server"]["solves"]
+        if solves != 0:
+            fail("re-drain warm", f"solves = {solves} after the grown "
+                 f"query, expected 0 (answered from the store)")
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=30)
+    print(f"re-drain restart ok: DELETE wrote the grown fixpoint, "
+          f"{hits} store hit, no solve, identical answer {warm}")
+
+
 _PROBE = """\
 import sys, time
 from repro import CommonInitialSequence
@@ -226,6 +288,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-store-smoke-") as store:
         check_cli_round_trip(store)
         check_server_restart(store)
+        check_server_redrain(os.path.join(store, "redrain"))
         check_latency(os.path.join(store, "latency"))
     print(f"store-smoke PASSED in {time.monotonic() - started:.1f}s")
     return 0
